@@ -10,7 +10,7 @@ from .fields import (
     make_field,
     sqrt_in_field,
 )
-from .polynomials import MultiPoly, NEG_INF, Poly1, RatFunc, exact_div, gcd_forms, poly_gcd, resultant
+from .polynomials import MultiPoly, NEG_INF, Poly1, RatFunc, exact_div, poly_gcd, resultant
 from .parsing import ParseError, parse_element, parse_poly, render_poly
 from .curves import (
     Parametrization,
@@ -30,18 +30,14 @@ from .maps import (
     PlaneRationalMap,
     jonquieres_decompose,
     linear_pushforward,
-    map_apply,
-    map_compose,
     proportional_eq,
     std_quadratic_pushforward,
 )
 from .galois import (
-    DeckCandidate,
     GaloisCertificate,
     ProjectionModel,
     deck_group_from_candidates,
     deck_verify,
-    express_sigma_on_x,
     extension_verdict,
     galois_test_low_degree,
     jonquieres_builder,

@@ -115,12 +115,6 @@ def _emit(report: dict, as_json: bool) -> None:
     print(render_report(report, "json" if as_json else "human"))
 
 
-def _load_file_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return scenario_from_json(data, name=path)
-
-
 def _exit_for(report: dict) -> int:
     status = report.get("status")
     if status == "verified":
@@ -277,9 +271,9 @@ def _cmd_cremona_reduce(args) -> int:
         chain = ReductionChain(C, scenario.chain_steps)
         report["chain_stages"] = [render_poly(s.implicit.monic()) for s in chain.stages[1:]]
         report["chain_replay"] = chain.replay()
-        for step in scenario.chain_steps:
+        for step, stage in zip(chain.steps, chain.stages):
             if step.kind == "std_quadratic_at":
-                mults = [multiplicity_implicit(C, p) for p in step.points]
+                mults = [multiplicity_implicit(stage, p) for p in step.points]
     pairing = kodaira_pairing(C.degree, mults)
     report["kodaira_pairing"] = pairing.pairing
     report["per_point_coefficients"] = list(pairing.per_point)

@@ -243,19 +243,6 @@ class ChainTransport:
         )
 
 
-def transported_end_automorphism(
-    chain: ReductionChain, phi: Parametrization, g: LineMobius
-) -> Optional[List[List[FieldElement]]]:
-    """Automorphism of the chain's end conic matching the deck action g.
-
-    Pushing phi through the chain parametrizes the end conic as rho o mu for
-    a Moebius mu; the transported automorphism is the conic lift of
-    mu o g o mu^-1.  Returns None when the end curve is not the standard
-    conic Y^2 = XZ (up to scalar) or the transported map cannot be shaped.
-    """
-    return ChainTransport(chain, phi).end_automorphism(g)
-
-
 def _mobius_from_conic_param(h: Parametrization) -> Optional[LineMobius]:
     """Extract mu from h = rho o mu, rho = [u^2 : uv : v^2]."""
     field = h.field

@@ -146,7 +146,9 @@ def parametrization_from_affine(components: Sequence[MultiPoly]) -> Parametrizat
 class PlaneCurve:
     """Plane projective curve with an implicit form and/or a parametrization."""
 
-    __slots__ = ("field", "_implicit", "irreducible_trusted", "param", "birational_trusted", "_mult_cache")
+    __slots__ = (
+        "field", "_implicit", "irreducible_trusted", "param", "birational_trusted", "_mult_cache", "_bound_cache"
+    )
 
     def __init__(
         self,
@@ -164,6 +166,7 @@ class PlaneCurve:
         object.__setattr__(self, "irreducible_trusted", irreducible_trusted)
         object.__setattr__(self, "birational_trusted", birational_trusted)
         object.__setattr__(self, "_mult_cache", {})
+        object.__setattr__(self, "_bound_cache", {})
 
     def __setattr__(self, *args):
         raise AttributeError("curves are immutable (implicit memoization excepted)")
@@ -317,37 +320,35 @@ def _sample_pairs(field: Field, count: int):
 # -- multiplicities -----------------------------------------------------------
 
 
-def chart_matrix(P: ProjPoint) -> List[List[FieldElement]]:
-    """Invertible matrix whose last column is P (sends [0:0:1] to P)."""
+def move_point_first(P: ProjPoint) -> List[List[FieldElement]]:
+    """The chart: invertible matrix T with T([1:0:0]) = P.
+
+    Every computation at a point P works in this one normal form, where the
+    projection from P is [X:Y:Z] -> [Y:Z].
+    """
     field = P.field
     k = P.pivot()
     others = [i for i in range(3) if i != k]
-    cols = []
+    cols = [list(P.coords)]
     for idx in others:
         col = [field.zero()] * 3
         col[idx] = field.one()
         cols.append(col)
-    cols.append(list(P.coords))
     return [[cols[j][i] for j in range(3)] for i in range(3)]
 
 
+def substitute_matrix(F: MultiPoly, M: Sequence[Sequence[FieldElement]]) -> MultiPoly:
+    """F o M: each variable of F replaced by its row of M applied to (X, Y, Z)."""
+    xs = [MultiPoly.variable(F.field, CURVE_VARS, v) for v in CURVE_VARS]
+    return F.substitute(dict(zip(CURVE_VARS, mat_vec(M, xs))))
+
+
 def multiplicity_implicit(C: PlaneCurve, P: ProjPoint) -> int:
-    """Lowest total degree of the affine equation translated to put P at 0."""
+    """Lowest total degree of the equation in the chart that puts P at the origin."""
     cached = C._mult_cache.get(P.coords)
     if cached is not None:
         return cached
-    F = C.implicit
-    M = chart_matrix(P)
-    images = {}
-    for r, var in enumerate(CURVE_VARS):
-        acc = MultiPoly.zero(F.field, CURVE_VARS)
-        for c, target in enumerate(CURVE_VARS):
-            entry = M[r][c]
-            if not entry.is_zero():
-                acc = acc + MultiPoly.variable(F.field, CURVE_VARS, target).scale(entry)
-        images[var] = acc
-    moved = F.substitute(images)
-    affine = moved.dehomogenize("Z")
+    affine = substitute_matrix(C.implicit, move_point_first(P)).dehomogenize("X")
     if affine.is_zero():
         raise ValueError("curve equation vanished in the chart; input was degenerate")
     result = int(min(sum(e) for e in affine.terms))
@@ -435,8 +436,16 @@ def has_point_of_multiplicity_ge(
     vanishing of all order-(m-1) partials.  After a random coordinate change
     making every partial nonzero at [0:0:1], the pairwise Z-resultants of the
     partials have constant leading coefficients, so a trivial gcd certifies
-    that no common zero exists over any extension.
+    that no common zero exists over any extension.  Results are memoized on
+    the curve by (m, seed).
     """
+    key = (m, seed)
+    if key not in C._bound_cache:
+        C._bound_cache[key] = _multiplicity_bound_search(C, m, seed)
+    return C._bound_cache[key]
+
+
+def _multiplicity_bound_search(C: PlaneCurve, m: int, seed: int) -> MultiplicityBoundResult:
     F = C.implicit
     d = int(F.degree())
     p = F.field.characteristic
@@ -471,7 +480,7 @@ def has_point_of_multiplicity_ge(
 
     for attempt in range(5):
         M = _random_invertible(field, rng)
-        moved = _apply_matrix_to_form(F, M)
+        moved = substitute_matrix(F, M)
         H = [g for g in _order_partials(moved, m - 1) if not g.is_zero()]
         origin = {"X": field.zero(), "Y": field.zero(), "Z": field.one()}
         if any(h.evaluate(origin).is_zero() for h in H):
@@ -567,17 +576,6 @@ def _order_partials(F: MultiPoly, order: int) -> List[MultiPoly]:
                     nxt.append(d)
         out = nxt
     return out
-
-
-def _apply_matrix_to_form(F: MultiPoly, M: List[List[FieldElement]]) -> MultiPoly:
-    images = {}
-    for r, var in enumerate(CURVE_VARS):
-        acc = MultiPoly.zero(F.field, CURVE_VARS)
-        for c, target in enumerate(CURVE_VARS):
-            if not M[r][c].is_zero():
-                acc = acc + MultiPoly.variable(F.field, CURVE_VARS, target).scale(M[r][c])
-        images[var] = acc
-    return F.substitute(images)
 
 
 def _random_invertible(field: Field, rng: random.Random) -> List[List[FieldElement]]:

@@ -19,19 +19,18 @@ from .curves import (
     PlaneCurve,
     ProjPoint,
     has_point_of_multiplicity_ge,
+    move_point_first,
     multiplicity_implicit,
     projection_forms,
     pullback_line,
+    substitute_matrix,
 )
 from .fields import Field, FieldElement, UNDETERMINED, Undetermined, sqrt_in_field
-from .linalg import mat_inv, nullspace, solve_affine
+from .linalg import mat_inv, mat_vec, nullspace, solve_affine
 from .maps import (
     LineMobius,
     MobiusOverBase,
     PlaneRationalMap,
-    _linear_combination,
-    _substitute_matrix,
-    move_point_first,
     proportional_eq,
 )
 from .polynomials import MultiPoly, NEG_INF, Poly1, RatFunc, RatFuncField, exact_div, poly_gcd
@@ -97,7 +96,7 @@ def projection_model(C: PlaneCurve, P: ProjPoint) -> ProjectionModel:
     if n == 0:
         raise ValueError("C is a line through P: the projection degenerates")
     T = move_point_first(P)
-    moved = _substitute_matrix(C.implicit, T)
+    moved = substitute_matrix(C.implicit, T)
     fiber = moved.dehomogenize("Z")
     if fiber.degree_in("X") != n:
         raise ValueError("fiber polynomial has unexpected x-degree; chart degenerated")
@@ -105,21 +104,6 @@ def projection_model(C: PlaneCurve, P: ProjPoint) -> ProjectionModel:
 
 
 # -- deck transformations ------------------------------------------------------
-
-
-class DeckCandidate:
-    """A Moebius transformation of the parameter line with a claimed order."""
-
-    __slots__ = ("g", "order")
-
-    def __init__(self, g: LineMobius, order: Optional[int] = None):
-        self.g = g
-        self.order = order if order is not None else g.order()
-        if self.order is None:
-            raise ValueError("candidate has no finite order")
-
-    def __repr__(self):
-        return f"DeckCandidate({self.g!r}, order={self.order})"
 
 
 class GaloisCertificate:
@@ -346,7 +330,7 @@ def parameter_data(
     field = phi.field
     T = move_point_first(P)
     T_inv = mat_inv(T, field)
-    std_forms = [_linear_combination(T_inv[r], phi.forms, field) for r in range(3)]
+    std_forms = mat_vec(T_inv, phi.forms)
     d1, d2, d3 = [_binary_dehom(f, field) for f in std_forms]
     if d3.is_zero():
         raise ValueError("the curve lies in the chart's line at infinity")
@@ -356,14 +340,6 @@ def parameter_data(
     e1, e2, e3 = [_binary_dehom(f, field) for f in g_forms]
     sigma_x_t = RatFunc(e1, e3)
     return x_t, sigma_x_t, psi_t
-
-
-def express_sigma_on_x(
-    phi: Parametrization, P: ProjPoint, g: LineMobius
-) -> Tuple[RatFunc, RatFunc]:
-    """The pair (x(t), sigma(x)(t)) of parameter-line rational functions."""
-    x_t, sigma_x_t, _ = parameter_data(phi, P, g)
-    return x_t, sigma_x_t
 
 
 def _binary_dehom(form: MultiPoly, field: Field) -> Poly1:
@@ -1156,10 +1132,3 @@ def _witness_checks(C: PlaneCurve, phi, g, J: PlaneRationalMap) -> Tuple[bool, b
     restricts = proportional_eq(j_phi, right)
     return preserves, restricts
 
-
-def _preserves_curve(C: PlaneCurve, J: PlaneRationalMap) -> bool:
-    from .polynomials import divides
-
-    F = C.implicit
-    sub = {v: c for v, c in zip(CURVE_VARS, J.components)}
-    return divides(F, F.substitute(sub))

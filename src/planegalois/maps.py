@@ -11,9 +11,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .curves import CURVE_VARS, PARAM_VARS, Parametrization, PlaneCurve, ProjPoint, multiplicity_implicit
+from .curves import (
+    CURVE_VARS,
+    PARAM_VARS,
+    Parametrization,
+    PlaneCurve,
+    ProjPoint,
+    move_point_first,
+    multiplicity_implicit,
+    substitute_matrix,
+)
 from .fields import Field, FieldElement
-from .linalg import mat_det, mat_inv, mat_mul
+from .linalg import mat_det, mat_inv, mat_mul, mat_vec
 from .polynomials import MultiPoly, NEG_INF, Poly1, RatFunc, RatFuncField, exact_div, poly_gcd
 
 
@@ -227,14 +236,8 @@ class PlaneRationalMap:
 
     @staticmethod
     def from_matrix(field: Field, matrix: Sequence[Sequence[FieldElement]]) -> "PlaneRationalMap":
-        comps = []
-        for row in matrix:
-            acc = MultiPoly.zero(field, CURVE_VARS)
-            for entry, var in zip(row, CURVE_VARS):
-                if not entry.is_zero():
-                    acc = acc + MultiPoly.variable(field, CURVE_VARS, var).scale(entry)
-            comps.append(acc)
-        return PlaneRationalMap(comps)
+        xs = [MultiPoly.variable(field, CURVE_VARS, v) for v in CURVE_VARS]
+        return PlaneRationalMap(mat_vec(matrix, xs))
 
     @staticmethod
     def standard_quadratic(field: Field) -> "PlaneRationalMap":
@@ -289,14 +292,6 @@ class PlaneRationalMap:
         return "[" + " : ".join(str(c) for c in self.components) + "]"
 
 
-def map_compose(g: PlaneRationalMap, f: PlaneRationalMap) -> PlaneRationalMap:
-    return g.compose(f)
-
-
-def map_apply(f: PlaneRationalMap, P: ProjPoint) -> Optional[ProjPoint]:
-    return f.apply(P)
-
-
 def proportional_eq(fs: Sequence, gs: Sequence) -> bool:
     """Projective equality: all cross products f_i g_j - f_j g_i vanish."""
     if len(fs) != len(gs):
@@ -327,17 +322,10 @@ def linear_pushforward(C: PlaneCurve, M: Sequence[Sequence[FieldElement]]) -> Pl
     inverse = mat_inv(M, field)
     implicit = None
     if C.has_implicit() or C.param is None:
-        implicit = _substitute_matrix(C.implicit, inverse).monic()
+        implicit = substitute_matrix(C.implicit, inverse).monic()
     param = None
     if C.param is not None:
-        forms = []
-        for row in M:
-            acc = MultiPoly.zero(field, PARAM_VARS)
-            for entry, f in zip(row, C.param.forms):
-                if not entry.is_zero():
-                    acc = acc + f.scale(entry)
-            forms.append(acc)
-        param = Parametrization(forms)
+        param = Parametrization(mat_vec(M, C.param.forms))
     curve = PlaneCurve(
         field,
         implicit,
@@ -348,28 +336,16 @@ def linear_pushforward(C: PlaneCurve, M: Sequence[Sequence[FieldElement]]) -> Pl
     return curve
 
 
-def _substitute_matrix(F: MultiPoly, M: Sequence[Sequence[FieldElement]]) -> MultiPoly:
-    images = {}
-    for r, var in enumerate(CURVE_VARS):
-        acc = MultiPoly.zero(F.field, CURVE_VARS)
-        for c, target in enumerate(CURVE_VARS):
-            if not M[r][c].is_zero():
-                acc = acc + MultiPoly.variable(F.field, CURVE_VARS, target).scale(M[r][c])
-        images[var] = acc
-    return F.substitute(images)
-
-
 class QuadraticPushforward:
     """Image curve plus the contraction bookkeeping of one standard
     quadratic step."""
 
-    __slots__ = ("curve", "multiplicities", "degree", "stripped")
+    __slots__ = ("curve", "multiplicities", "degree")
 
-    def __init__(self, curve, multiplicities, degree, stripped):
+    def __init__(self, curve, multiplicities, degree):
         self.curve = curve
         self.multiplicities = multiplicities
         self.degree = degree
-        self.stripped = stripped
 
 
 def std_quadratic_pushforward(C: PlaneCurve) -> QuadraticPushforward:
@@ -410,20 +386,7 @@ def std_quadratic_pushforward(C: PlaneCurve) -> QuadraticPushforward:
         irreducible_trusted=C.irreducible_trusted,
         birational_trusted=C.birational_trusted,
     )
-    return QuadraticPushforward(curve, tuple(mults), d_new, tuple(mults))
-
-
-def move_point_first(P: ProjPoint) -> List[List[FieldElement]]:
-    """Invertible matrix T with T([1:0:0]) = P."""
-    field = P.field
-    k = P.pivot()
-    others = [i for i in range(3) if i != k]
-    cols = [list(P.coords)]
-    for idx in others:
-        col = [field.zero()] * 3
-        col[idx] = field.one()
-        cols.append(col)
-    return [[cols[j][i] for j in range(3)] for i in range(3)]
+    return QuadraticPushforward(curve, tuple(mults), d_new)
 
 
 def jonquieres_decompose(f: PlaneRationalMap, P: ProjPoint) -> Optional[JonquieresWitness]:
@@ -439,11 +402,8 @@ def jonquieres_decompose(f: PlaneRationalMap, P: ProjPoint) -> Optional[Jonquier
     field = f.field
     T = move_point_first(P)
     T_inv = mat_inv(T, field)
-    moved = [_substitute_matrix(c, T) for c in f.components]
-    conjugated = [
-        _linear_combination(T_inv[r], moved, field) for r in range(3)
-    ]
-    work = PlaneRationalMap(conjugated)
+    moved = [substitute_matrix(c, T) for c in f.components]
+    work = PlaneRationalMap(mat_vec(T_inv, moved))
     q2, q3 = work.components[1], work.components[2]
     g = poly_gcd(q2, q3)
     if g.degree() not in (NEG_INF, 0):
@@ -484,14 +444,6 @@ def jonquieres_decompose(f: PlaneRationalMap, P: ProjPoint) -> Optional[Jonquier
 
 def _exps(var: str) -> Tuple[int, int, int]:
     return tuple(1 if v == var else 0 for v in CURVE_VARS)
-
-
-def _linear_combination(row, polys, field) -> MultiPoly:
-    acc = MultiPoly.zero(field, polys[0].vars)
-    for entry, p in zip(row, polys):
-        if not entry.is_zero():
-            acc = acc + p.scale(entry)
-    return acc
 
 
 def _x_coefficient_as_ratfunc(p: MultiPoly, power: int, field: Field) -> RatFunc:

@@ -513,11 +513,6 @@ def _from_dense(coeffs: list, template: MultiPoly, var: str) -> MultiPoly:
     return MultiPoly(template.field, template.vars, terms)
 
 
-def gcd_forms(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic gcd of univariate polynomials or binary forms."""
-    return poly_gcd(f, g)
-
-
 # -- resultants --------------------------------------------------------------
 
 
@@ -589,8 +584,8 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
 
     def sample(point: Mapping[str, FieldElement]) -> FieldElement:
         full = dict(point)
-        fc = [c.evaluate(full) for c in _strip_var(f, var)]
-        gc = [c.evaluate(full) for c in _strip_var(g, var)]
+        fc = [c.evaluate(full) for c in _dense_coeffs(f, var)]
+        gc = [c.evaluate(full) for c in _dense_coeffs(g, var)]
         return sylvester_det(fc, gc, f.field)
 
     if len(others) == 2 and f.is_homogeneous() and g.is_homogeneous():
@@ -618,11 +613,6 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
 
     bounds = {v: dg * int(max(f.degree_in(v), 0)) + df * int(max(g.degree_in(v), 0)) for v in others}
     return _interp_tensor(others, bounds, sample, f.field, f.vars)
-
-
-def _strip_var(p: MultiPoly, var: str) -> list:
-    """Dense coefficient list in var, coefficients as polynomials in the rest."""
-    return _dense_coeffs(p, var)
 
 
 def _nodes(field: Field, count: int) -> list:
@@ -894,10 +884,6 @@ class Poly1:
                 e[i] = k
                 terms[tuple(e)] = c
         return MultiPoly(field, vars, terms)
-
-
-def poly1_from_multi(p: MultiPoly, var: str) -> Poly1:
-    return p.to_poly1(var)
 
 
 # -- rational functions -------------------------------------------------------

@@ -18,6 +18,7 @@ from planegalois.curves import (
     ProjPoint,
     multiplicity_implicit,
     multiplicity_param,
+    substitute_matrix,
 )
 from planegalois.galois import (
     deck_group_from_candidates,
@@ -27,7 +28,7 @@ from planegalois.galois import (
     parameter_data,
 )
 from planegalois.linalg import mat_det, mat_mul
-from planegalois.maps import LineMobius, proportional_eq, _substitute_matrix
+from planegalois.maps import LineMobius, proportional_eq
 from planegalois.parsing import parse_poly
 from planegalois.polynomials import Poly1, RatFunc, RatFuncField, divides
 from planegalois.scenarios import conjugate_scenario, load_scenario, run_scenario
@@ -313,7 +314,7 @@ def test_criterion_6_conic_lift_suite(Q):
         assert proportional_eq(
             [x for row in lift_gh for x in row], [x for row in product for x in row]
         )
-        assert proportional_eq((_substitute_matrix(conic, conic_lift(g)),), (conic,))
+        assert proportional_eq((substitute_matrix(conic, conic_lift(g)),), (conic,))
         solved = linear_extension_solver(rho, g)
         assert solved.found()
         assert proportional_eq(

@@ -4,13 +4,13 @@ import pytest
 
 from planegalois.cremona import (
     ChainStep,
+    ChainTransport,
     ReductionChain,
     conic_lift,
     conjugate_extension,
     kodaira_pairing,
     line_equivalence_decision,
     quadratic_at_three_points,
-    transported_end_automorphism,
 )
 from planegalois.curves import (
     CURVE_VARS,
@@ -21,6 +21,7 @@ from planegalois.curves import (
     curve_from_implicit,
     curve_from_parametrization,
     parametrization_from_affine,
+    substitute_matrix,
 )
 from planegalois.linalg import mat_det, mat_inv, mat_mul
 from planegalois.maps import LineMobius, PlaneRationalMap, proportional_eq
@@ -162,15 +163,12 @@ def test_conic_lift_examples(Q):
     assert proportional_eq(flat, expect)
     swap = conic_lift(LineMobius(Q, ((Q.zero(), Q.one()), (Q.one(), Q.zero()))))
     conic = parse_poly("Y^2 - X*Z", Q, CURVE_VARS)
-    from planegalois.maps import _substitute_matrix
-
-    assert proportional_eq((_substitute_matrix(conic, swap),), (conic,))
+    assert proportional_eq((substitute_matrix(conic, swap),), (conic,))
 
 
 def test_conic_lift_homomorphism_and_invariance(Q):
     rng = random.Random(6)
     conic = parse_poly("Y^2 - X*Z", Q, CURVE_VARS)
-    from planegalois.maps import _substitute_matrix
 
     def random_mobius():
         while True:
@@ -187,7 +185,7 @@ def test_conic_lift_homomorphism_and_invariance(Q):
         assert proportional_eq(
             [x for row in left for x in row], [x for row in right for x in row]
         )
-        assert proportional_eq((_substitute_matrix(conic, conic_lift(g)),), (conic,))
+        assert proportional_eq((substitute_matrix(conic, conic_lift(g)),), (conic,))
         # commuting square: rho o g = lift(g) o rho
         u = parse_poly("u", Q, PARAM_VARS)
         v = parse_poly("v", Q, PARAM_VARS)
@@ -254,9 +252,10 @@ def test_conjugate_extension_quartic(Z8):
     F = C.implicit
     from planegalois.polynomials import divides
 
+    transport = ChainTransport(chain, phi)
     for power in (1, 3):
         g = LineMobius.diagonal(Z8, i**power, Z8.one())
-        A = transported_end_automorphism(chain, phi, g)
+        A = transport.end_automorphism(g)
         assert A is not None
         J = conjugate_extension(chain, A)
         sub = {v: c for v, c in zip(CURVE_VARS, J.components)}

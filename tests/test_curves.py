@@ -213,6 +213,7 @@ def test_has_point_of_multiplicity_examples(Q, Z5):
     res = has_point_of_multiplicity_ge(deg7, 3, seed=0)
     assert res.verdict is False
     assert res.certificate["method"] == "pairwise Z-resultants, gcd 1"
+    assert has_point_of_multiplicity_ge(deg7, 3, seed=0) is res  # memoized on the curve
 
     transformed = curve_from_implicit(
         parse_poly("X^2*Y^2 + 6*X^2*Y*Z + X^2*Z^2 + 4*Y^2*Z^2", Q, CURVE_VARS)

@@ -17,7 +17,6 @@ from planegalois.galois import (
     deck_group_from_candidates,
     deck_verify,
     default_degree_bound,
-    express_sigma_on_x,
     extension_verdict,
     galois_test_low_degree,
     jonquieres_builder,
@@ -186,7 +185,7 @@ def test_discriminant_against_resultant_oracle(Q):
 def test_express_sigma_examples(Z8, Z3, Q):
     quartic, P = _quartic_scenario(Z8)
     i = Z8.parse("z^2")
-    x_t, sx_t = express_sigma_on_x(quartic.param, P, LineMobius.diagonal(Z8, i, Z8.one()))
+    x_t, sx_t, _ = parameter_data(quartic.param, P, LineMobius.diagonal(Z8, i, Z8.one()))
     # x(t) = t + t^3, sigma(x)(t) = i t - i t^3
     expect_x = parse_poly("t + t^3", Z8, ("t",)).to_poly1("t")
     expect_sx = (parse_poly("z^2*t - z^2*t^3", Z8, ("t",))).to_poly1("t")
@@ -194,11 +193,11 @@ def test_express_sigma_examples(Z8, Z3, Q):
     assert sx_t.num.monic() == expect_sx.monic()
     cubic, Pc = _cubic_scenario(Z3)
     w = Z3.generator()
-    xc, sxc = express_sigma_on_x(cubic.param, Pc, LineMobius.diagonal(Z3, w, Z3.one()))
+    xc, sxc, _ = parameter_data(cubic.param, Pc, LineMobius.diagonal(Z3, w, Z3.one()))
     assert xc.num == parse_poly("t + t^2", Z3, ("t",)).to_poly1("t")
     assert sxc.num.monic() == parse_poly("z*t + z^2*t^2", Z3, ("t",)).to_poly1("t").monic()
     # identity deck
-    x_id, sx_id = express_sigma_on_x(cubic.param, Pc, LineMobius.identity(Z3))
+    x_id, sx_id, _ = parameter_data(cubic.param, Pc, LineMobius.identity(Z3))
     assert x_id == sx_id
 
 

@@ -24,6 +24,13 @@ def _tmpfile(data) -> str:
     return fh.name
 
 
+def _assert_golden(report: dict, name: str) -> None:
+    """The report renders byte for byte as the committed `verify <name> --json` output."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        assert render_report(report, "json") + "\n" == fh.read()
+
+
 CONIC_FILE = {
     "field": {"kind": "rational"},
     "curve": {"implicit": "X^2 - Y*Z"},
@@ -60,8 +67,17 @@ def test_scenario_file_validation():
         assert "projective point" in str(err.value)
     finally:
         os.unlink(path)
-    with pytest.raises(ScenarioError):
-        scenario_from_json({"field": {"kind": "weird"}, "curve": {}, "point": ["1", "0", "0"]})
+    for field in (
+        {"kind": "weird"},
+        {"kind": "cyclotomic"},
+        {"kind": "cyclotomic", "n": 2},
+        {"kind": "cyclotomic", "n": 65},
+        {"kind": "cyclotomic", "n": None},
+        {"kind": "prime"},
+        {"kind": "prime", "p": 9},
+    ):
+        with pytest.raises(ScenarioError):
+            scenario_from_json({"field": field, "curve": {"implicit": "X"}, "point": ["1", "0", "0"]})
     with pytest.raises(ScenarioError):
         scenario_from_json(
             {"field": {"kind": "rational"}, "curve": {"implicit": "X + Y^2"}, "point": ["1", "0", "0"]}
@@ -88,6 +104,14 @@ def test_run_command_exit_codes():
         assert run_command(["cremona", "reduce", path]) == EXIT_OK
     finally:
         os.unlink(path)
+    # degenerate projections from [1:0:0] are input errors, not tracebacks
+    for implicit in ("Y - 3*Z", "(X - 2*Y)^2*(X - 3*Z)"):
+        path = _tmpfile({"field": {"kind": "rational"}, "curve": {"implicit": implicit}, "point": ["1", "0", "0"]})
+        try:
+            assert run_command(["galois", "test", path, "--point", "1,0,0"]) == EXIT_INPUT
+            assert run_command(["verify", path]) == EXIT_INPUT
+        finally:
+            os.unlink(path)
 
 
 def test_cli_conic_galois_test_subprocess():
@@ -115,6 +139,7 @@ def test_reports_are_deterministic():
     c = run_scenario(load_scenario("cubic-char3"), seed=9)
     d = run_scenario(load_scenario("cubic-char3"), seed=9)
     assert json.dumps(c) == json.dumps(d)
+    _assert_golden(run_scenario(load_scenario("cubic-char3"), seed=0), "cubic-char3")
 
 
 def test_render_report_shapes():
@@ -125,6 +150,7 @@ def test_render_report_shapes():
     assert parsed == report
     human = render_report(report, "human")
     assert "status: verified" in human
+    _assert_golden(report, "cubic-omega")
 
 
 def test_quartic_report_flags():
@@ -132,12 +158,14 @@ def test_quartic_report_flags():
     text = render_report(report, "json")
     assert '"jonquieres": false' in text
     assert '"cremona": true' in text
+    _assert_golden(report, "quartic-i")
 
 
 def test_quintic_report_extendable_elements():
     report = run_scenario(load_scenario("quintic-zeta5"), seed=0)
     assert report["extendable_elements"] == ["identity"]
     assert report["jonquieres"] is False and report["cremona"] is False
+    _assert_golden(report, "quintic-zeta5")
 
 
 def test_verify_failure_exit_code():
@@ -225,5 +253,29 @@ def test_cremona_reduce_cli():
         payload = json.loads(result.stdout)
         assert payload["kodaira_pairing"] == 2 - 6
         assert payload["line_equivalence"] == "equivalent_to_line"
+    finally:
+        os.unlink(path)
+
+
+def test_cremona_reduce_measures_the_stage_curve(capsys):
+    # The linear step carries the start conic onto XY + YZ + ZX, which passes
+    # once through each coordinate point; the start conic misses all three.
+    data = {
+        "field": {"kind": "rational"},
+        "curve": {"implicit": "X^2 + Y^2 + Z^2 + 3*X*Y + 3*X*Z + 3*Y*Z"},
+        "chain": {
+            "steps": [
+                {"linear": [["1", "1", "0"], ["0", "1", "1"], ["1", "0", "1"]]},
+                {"std_quadratic_at": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+            ]
+        },
+    }
+    path = _tmpfile(data)
+    try:
+        assert run_command(["cremona", "reduce", path, "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["chain_stages"] == ["X*Y + X*Z + Y*Z", "X + Y + Z"]
+        assert payload["chain_replay"] is True
+        assert payload["per_point_coefficients"] == [1, 1, 1]
     finally:
         os.unlink(path)
