@@ -1,6 +1,6 @@
 """Projective plane curves: implicit forms, rational parametrizations,
 point multiplicities by two independent methods, implicitization by
-resultant interpolation, and certified multiplicity-bound searches.
+sampled moving-line resultants, and certified multiplicity-bound searches.
 """
 
 from __future__ import annotations

@@ -1076,25 +1076,28 @@ def extension_verdict(
     return reports
 
 
-def _implicit_element_report(model: ProjectionModel, g) -> ElementReport:
-    """Implicit-only curves: construct the witness algebraically when the
-    extension degree is at most 3."""
+def _implicit_element_report(model: ProjectionModel, g: str) -> ElementReport:
+    """Implicit-only curves: construct the witness of g = sigma^k algebraically,
+    as the k-th power of sigma's Moebius map, when the extension degree is at
+    most 3."""
     n = model.ext_degree
     field = model.fiber_poly.field
+    nu = cubic_sigma_polynomial_form(model) if n == 3 else None
     if n == 2:
         coeffs = model.monic_coefficients()
         ring = RatFuncField(field)
         mob = MobiusOverBase((-(ring.one()), -coeffs[1], ring.zero(), ring.one()))
-        J = jonquieres_builder(mob, model.center, field)
-        return ElementReport(g, "jonquieres", witness=(mob, J), notes="x -> -x - a1")
-    if n == 3:
-        nu = cubic_sigma_polynomial_form(model)
-        if nu is not None:
-            a2, a1, a0 = _monic_cubic_coefficients(model)
-            mob = lemma31_formulas((a2, a1, a0), nu)
-            J = jonquieres_builder(mob, model.center, field)
-            return ElementReport(g, "jonquieres", witness=(mob, J), notes="Lemma 3.1 normal form")
-    return ElementReport(g, "undetermined", notes="no parametrization and no algebraic route")
+        notes = "x -> -x - a1"
+    elif nu is not None:
+        mob = lemma31_formulas(_monic_cubic_coefficients(model), nu)
+        notes = "Lemma 3.1 normal form"
+    else:
+        return ElementReport(g, "undetermined", notes="no parametrization and no algebraic route")
+    power = mob
+    for _ in range(int(g.partition("^")[2] or 1) - 1):
+        power = power.compose(mob)
+    J = jonquieres_builder(power, model.center, field)
+    return ElementReport(g, "jonquieres", witness=(power, J), notes=notes)
 
 
 def _verify_jonquieres(C: PlaneCurve, P: ProjPoint, phi, g, J: PlaneRationalMap):

@@ -27,9 +27,9 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> List[List]:
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> List:
     out = []
     for row in a:
-        acc = row[0] * v[0]
+        acc = v[0] * row[0]
         for k in range(1, len(v)):
-            acc = acc + row[k] * v[k]
+            acc = acc + v[k] * row[k]
         out.append(acc)
     return out
 
@@ -46,7 +46,7 @@ def mat_det(a: Sequence[Sequence], ring) -> object:
             work[col], work[pivot] = work[pivot], work[col]
             det = -det
         det = det * work[col][col]
-        inv = ring.one() / work[col][col]
+        inv = work[col][col].inverse()
         for r in range(col + 1, n):
             if not work[r][col].is_zero():
                 factor = work[r][col] * inv
@@ -55,20 +55,13 @@ def mat_det(a: Sequence[Sequence], ring) -> object:
 
 
 def mat_inv(a: Sequence[Sequence], ring) -> List[List]:
+    """Inverse through the rref of [A | I]; raises ZeroDivisionError when A is singular."""
     n = len(a)
-    work = [list(row) + [ring.one() if i == j else ring.zero() for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = ring.one() / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    aug = [list(row) + [ring.one() if i == j else ring.zero() for j in range(n)] for i, row in enumerate(a)]
+    reduced, pivots = rref(aug, ring)
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in reduced]
 
 
 def rref(rows: List[List], ring) -> Tuple[List[List], List[int]]:
@@ -84,7 +77,7 @@ def rref(rows: List[List], ring) -> Tuple[List[List], List[int]]:
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = ring.one() / work[rank][col]
+        inv = work[rank][col].inverse()
         work[rank] = [x * inv for x in work[rank]]
         for r in range(len(work)):
             if r != rank and not work[r][col].is_zero():
@@ -97,12 +90,8 @@ def rref(rows: List[List], ring) -> Tuple[List[List], List[int]]:
     return work, pivots
 
 
-def nullspace(rows: List[List], ring, width: Optional[int] = None) -> List[List]:
-    """Basis of the right nullspace of the matrix."""
-    if not rows:
-        return [[ring.one() if i == j else ring.zero() for i in range(width or 0)] for j in range(width or 0)]
-    cols = len(rows[0])
-    reduced, pivots = rref(rows, ring)
+def _kernel(reduced: List[List], pivots: List[int], cols: int, ring) -> List[List]:
+    """Nullspace basis read off a reduced row echelon form, one vector per free column."""
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -112,6 +101,14 @@ def nullspace(rows: List[List], ring, width: Optional[int] = None) -> List[List]
             vec[pc] = -reduced[r][fc]
         basis.append(vec)
     return basis
+
+
+def nullspace(rows: List[List], ring, width: Optional[int] = None) -> List[List]:
+    """Basis of the right nullspace of the matrix."""
+    if not rows:
+        return _kernel([], [], width or 0, ring)
+    reduced, pivots = rref(rows, ring)
+    return _kernel(reduced, pivots, len(rows[0]), ring)
 
 
 def solve_affine(rows: List[List], rhs: List, ring) -> Optional[Tuple[List, List[List]]]:
@@ -129,5 +126,4 @@ def solve_affine(rows: List[List], rhs: List, ring) -> Optional[Tuple[List, List
     particular = [ring.zero()] * cols
     for r, pc in enumerate(pivots):
         particular[pc] = reduced[r][cols]
-    kernel = nullspace([row[:cols] for row in reduced], ring, width=cols)
-    return particular, kernel
+    return particular, _kernel(reduced, pivots, cols, ring)

@@ -149,6 +149,12 @@ class MobiusOverBase:
             lcm = lcm * r.den.exact_div(g)
         return tuple(r.num * lcm.exact_div(r.den) for r in self.entries)
 
+    def compose(self, other: "MobiusOverBase") -> "MobiusOverBase":
+        """self after other."""
+        alpha, beta, gamma, delta = self.entries
+        product = mat_mul(((alpha, beta), (gamma, delta)), (other.entries[:2], other.entries[2:]))
+        return MobiusOverBase(product[0] + product[1])
+
     def determinant(self) -> RatFunc:
         alpha, beta, gamma, delta = self.entries
         return alpha * delta - beta * gamma

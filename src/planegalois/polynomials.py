@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .fields import Field, FieldElement, FieldMismatchError
+from .linalg import mat_det
 
 NEG_INF = float("-inf")
 
@@ -408,36 +409,38 @@ def _pseudo_rem(fc: list, gc: list) -> list:
     return rem
 
 
-def _ring_exact_div(a, b):
-    if isinstance(a, MultiPoly):
-        return exact_div(a, b)
-    return a / b
+def _subresultant(fc: list, gc: list, one):
+    """End state of the subresultant PRS of two dense lists of MultiPoly
+    coefficients (ascending, not both constant): (deg A, B, h, sign).
 
-
-def _subresultant_gcd(fc: list, gc: list, ring_one):
-    """Last nonzero member of the subresultant PRS of two dense coefficient
-    lists (ascending).  Coefficients may be field elements or polynomials;
-    all interior divisions are exact by the subresultant theory."""
+    B is the last nonzero member and A the one before it; B has positive
+    degree exactly when the inputs share a factor.  h is the sequence's
+    scaling factor and sign the product of the (-1)^(deg A * deg B) factors,
+    so that Res = sign * lc(B)^deg A / h^(deg A - 1) when B is constant.
+    Every interior division is exact by the subresultant theory (Collins
+    1967; Brown and Traub 1971)."""
     A, B = list(fc), list(gc)
+    sign = 1
     if len(A) < len(B):
         A, B = B, A
-    g = ring_one
-    h = ring_one
-    while True:
-        delta = (len(A) - 1) - (len(B) - 1)
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            sign = -sign
+    g = h = one
+    while len(B) > 1:
+        if (len(A) - 1) * (len(B) - 1) % 2:
+            sign = -sign
+        delta = len(A) - len(B)
         R = _pseudo_rem(A, B)
         if not R:
-            return B
-        if len(R) == 1:
-            return [R[0]]
+            break
         divisor = g if delta == 0 else g * _ring_pow(h, delta)
-        A = B
-        B = [_ring_exact_div(c, divisor) for c in R]
+        A, B = B, [exact_div(c, divisor) for c in R]
         g = A[-1]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _ring_exact_div(_ring_pow(g, delta), _ring_pow(h, delta - 1))
+            h = exact_div(_ring_pow(g, delta), _ring_pow(h, delta - 1))
+    return len(A) - 1, B, h, sign
 
 
 def _ring_pow(c, n: int):
@@ -460,18 +463,15 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     var = active[0]
     fc = _dense_coeffs(f, var)
     gc = _dense_coeffs(g, var)
+    one = MultiPoly.one(f.field, f.vars)
     if len(active) == 1:
-        ring_one = MultiPoly.one(f.field, f.vars)
-        last = _subresultant_gcd(fc, gc, ring_one)
-        result = _from_dense(last, f, var)
-        return result.monic()
+        return _from_dense(_subresultant(fc, gc, one)[1], f, var).monic()
     cont_f = _content(fc)
     cont_g = _content(gc)
     content = poly_gcd(cont_f, cont_g)
     fp = [exact_div(c, cont_f) for c in fc]
     gp = [exact_div(c, cont_g) for c in gc]
-    ring_one = MultiPoly.one(f.field, f.vars)
-    last = _subresultant_gcd(fp, gp, ring_one)
+    last = _subresultant(fp, gp, one)[1]
     last_content = _content(last)
     primitive = [exact_div(c, last_content) for c in last]
     result = _from_dense(primitive, f, var) * content
@@ -526,165 +526,31 @@ def sylvester_det(fc: Sequence[FieldElement], gc: Sequence[FieldElement], field:
     if df < 0 or dg < 0:
         raise ValueError("resultant of the zero polynomial")
     size = df + dg
-    if size == 0:
-        return field.one()
-    rows = []
+    zero = field.zero()
     f_desc = list(reversed(fc))
     g_desc = list(reversed(gc))
-    for i in range(dg):
-        rows.append([field.zero()] * i + list(f_desc) + [field.zero()] * (size - i - df - 1))
-    for i in range(df):
-        rows.append([field.zero()] * i + list(g_desc) + [field.zero()] * (size - i - dg - 1))
-    return _det_field(rows, field)
-
-
-def _det_field(rows: list, field: Field) -> FieldElement:
-    """In-place Gaussian elimination determinant over a field."""
-    n = len(rows)
-    det = field.one()
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            return field.zero()
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].inverse()
-        for r in range(col + 1, n):
-            if not rows[r][col].is_zero():
-                factor = rows[r][col] * inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
+    rows = [[zero] * i + f_desc + [zero] * (size - i - df - 1) for i in range(dg)]
+    rows += [[zero] * i + g_desc + [zero] * (size - i - dg - 1) for i in range(df)]
+    return mat_det(rows, field)
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant eliminating var.
+    """Sylvester resultant eliminating var, read off the end of the
+    subresultant PRS over the ring of polynomials in the other variables.
 
-    Scalar-coefficient inputs are handled by direct Gaussian elimination; when
-    the coefficients involve other variables the determinant is never expanded
-    symbolically -- it is sampled at interpolation nodes and reconstructed.
+    Same convention as sylvester_det: Res(f, g) = lc(f)^deg(g) * prod g(root of f).
     """
     f._check(g)
     df = f.degree_in(var)
     dg = g.degree_in(var)
     if df is NEG_INF or dg is NEG_INF or df == 0 or dg == 0:
         raise ValueError("resultant needs positive degree in the eliminated variable")
-    df, dg = int(df), int(dg)
-    others = [v for v in f.vars if v != var and (f.degree_in(v) > 0 or g.degree_in(v) > 0)]
-    if not others:
-        fc = [c.constant_value() for c in _dense_coeffs(f, var)]
-        gc = [c.constant_value() for c in _dense_coeffs(g, var)]
-        value = sylvester_det(fc, gc, f.field)
-        return MultiPoly.constant(f.field, f.vars, value)
-
-    def sample(point: Mapping[str, FieldElement]) -> FieldElement:
-        full = dict(point)
-        fc = [c.evaluate(full) for c in _dense_coeffs(f, var)]
-        gc = [c.evaluate(full) for c in _dense_coeffs(g, var)]
-        return sylvester_det(fc, gc, f.field)
-
-    if len(others) == 2 and f.is_homogeneous() and g.is_homogeneous():
-        # Homogeneous binary output of exactly known degree.
-        tf, tg = int(f.degree()), int(g.degree())
-        degree = dg * tf + df * tg - df * dg
-        u, w = others
-        nodes = _nodes(f.field, degree + 1)
-        ys = []
-        one = f.field.one()
-        for x in nodes:
-            ys.append(sample({u: x, w: one}))
-        coeffs = _interp_newton(nodes, ys, f.field)
-        terms: Dict[Tuple[int, ...], FieldElement] = {}
-        iu = f.vars.index(u)
-        iw = f.vars.index(w)
-        for k, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            e = [0] * len(f.vars)
-            e[iu] = k
-            e[iw] = degree - k
-            terms[tuple(e)] = c
-        return MultiPoly(f.field, f.vars, terms)
-
-    bounds = {v: dg * int(max(f.degree_in(v), 0)) + df * int(max(g.degree_in(v), 0)) for v in others}
-    return _interp_tensor(others, bounds, sample, f.field, f.vars)
-
-
-def _nodes(field: Field, count: int) -> list:
-    if field.characteristic and count > field.characteristic:
-        raise ValueError(
-            f"field F{field.characteristic} too small for {count} interpolation nodes"
-        )
-    return [field.from_int(k) for k in range(count)]
-
-
-def _interp_newton(xs: list, ys: list, field: Field) -> list:
-    """Newton interpolation returning ascending coefficients (exact)."""
-    n = len(xs)
-    divided = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    coeffs = [field.zero()] * n
-    coeffs[0] = divided[0]
-    basis = [field.one()]
-    for level in range(1, n):
-        new_basis = [field.zero()] * (len(basis) + 1)
-        for j, c in enumerate(basis):
-            new_basis[j] = new_basis[j] - c * xs[level - 1]
-            new_basis[j + 1] = new_basis[j + 1] + c
-        basis = new_basis
-        for j, c in enumerate(basis):
-            coeffs[j] = coeffs[j] + divided[level] * c
-    return coeffs
-
-
-def _interp_tensor(vars_list: list, bounds: Dict[str, int], value_fn, field: Field, all_vars) -> MultiPoly:
-    """Exact tensor-grid interpolation in the listed variables."""
-    var = vars_list[0]
-    nodes = _nodes(field, bounds[var] + 1)
-    if len(vars_list) == 1:
-        ys = [value_fn({var: x}) for x in nodes]
-        coeffs = _interp_newton(nodes, ys, field)
-        i = all_vars.index(var)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if not c.is_zero():
-                e = [0] * len(all_vars)
-                e[i] = k
-                terms[tuple(e)] = c
-        return MultiPoly(field, all_vars, terms)
-    rest = vars_list[1:]
-    slices = []
-    for x in nodes:
-
-        def pinned(point, _x=x):
-            full = dict(point)
-            full[var] = _x
-            return value_fn(full)
-
-        slices.append(_interp_tensor(rest, bounds, pinned, field, all_vars))
-    # Interpolate each monomial-of-the-rest across the var nodes.
-    keys = set()
-    for s in slices:
-        keys.update(s.terms)
-    terms: Dict[Tuple[int, ...], FieldElement] = {}
-    i = all_vars.index(var)
-    for key in keys:
-        ys = [s.terms.get(key, field.zero()) for s in slices]
-        coeffs = _interp_newton(nodes, ys, field)
-        for k, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            e = list(key)
-            e[i] = k
-            terms[tuple(e)] = c
-    return MultiPoly(field, all_vars, terms)
+    one = MultiPoly.one(f.field, f.vars)
+    deg_a, B, h, sign = _subresultant(_dense_coeffs(f, var), _dense_coeffs(g, var), one)
+    if len(B) > 1:
+        return MultiPoly.zero(f.field, f.vars)
+    value = B[0] if deg_a == 1 else exact_div(_ring_pow(B[0], deg_a), _ring_pow(h, deg_a - 1))
+    return value if sign > 0 else -value
 
 
 # -- dense univariate polynomials over a field-like ring ---------------------

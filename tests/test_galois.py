@@ -30,7 +30,7 @@ from planegalois.galois import (
 from planegalois.linalg import mat_det, mat_vec
 from planegalois.maps import LineMobius, MobiusOverBase, PlaneRationalMap, proportional_eq
 from planegalois.parsing import parse_poly
-from planegalois.polynomials import MultiPoly, RatFunc
+from planegalois.polynomials import MultiPoly, RatFunc, divides
 
 QUARTIC = "X^4 - 4*Z*Y*X^2 - Z*Y^3 + 2*Z^2*Y^2 - Y*Z^3"
 
@@ -447,6 +447,29 @@ def test_extension_verdicts_cubic_all_jonquieres(Z3):
     )
     reports = extension_verdict(cubic, P, cert, seed=0)
     assert all(r.verdict == "jonquieres" for r in reports)
+
+
+def test_extension_verdicts_implicit_cubic_sigma_powers(Z3):
+    # no parametrization: sigma^2's witness is the square of sigma's Moebius map
+    F = parse_poly("X^3 + 2*Y^3 - Y^2*Z + 3*Z^3", Z3, CURVE_VARS)
+    curve = curve_from_implicit(F)
+    P = ProjPoint.from_ints(Z3, (1, 0, 0))
+    cert = galois_test_low_degree(projection_model(curve, P))
+    assert cert.verdict == "galois"
+    reports = {r.element: r for r in extension_verdict(curve, P, cert, seed=0)}
+    assert list(reports) == ["identity", "sigma", "sigma^2"]
+    mob, _ = reports["sigma"].witness
+    mob2, J2 = reports["sigma^2"].witness
+    assert reports["sigma^2"].verdict == "jonquieres"
+    assert mob2.proportional_to(mob.compose(mob))
+    assert not mob2.proportional_to(mob)
+    assert mob.compose(mob2).is_identity()
+    for r in reports.values():
+        if r.element != "identity":
+            _, J = r.witness
+            sub = {v: c for v, c in zip(CURVE_VARS, J.components)}
+            assert divides(F, F.substitute(sub))
+    assert reports["sigma^2"].witness[1] != reports["sigma"].witness[1]
 
 
 def test_extension_verdicts_quintic_proven_none(Z5):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from planegalois.fields import FieldMismatchError
+from planegalois.fields import FieldDescriptor, FieldMismatchError, make_field
 from planegalois.parsing import parse_poly, render_poly
 from planegalois.polynomials import (
     MultiPoly,
@@ -13,6 +13,7 @@ from planegalois.polynomials import (
     exact_div,
     poly_gcd,
     resultant,
+    sylvester_det,
 )
 
 XYZ = ("X", "Y", "Z")
@@ -174,6 +175,10 @@ def test_resultant_linear_and_self(Q):
     assert resultant(fa, fb, "x") == parse_poly("u - v", Q, V)
     f = parse_poly("x - u - u^2", Q, V)
     assert resultant(f, f, "x").is_zero()
+    # the remainder sequence drops from degree 2 straight to a constant
+    a = parse_poly("u*x^3 + x + 1", Q, V)
+    b = parse_poly("u*x^2 + 1", Q, V)
+    assert resultant(a, b, "x") == resultant(b, a, "x") == parse_poly("u^3", Q, V)
 
 
 def test_resultant_degenerate_inputs(Q):
@@ -211,12 +216,59 @@ def _random_univ(field, rng, vars, main, degree):
 def test_resultant_swap_sign(Q):
     rng = random.Random(31)
     V = ("x", "y")
-    for _ in range(8):
-        f = _random_univ(Q, rng, V, "x", 2)
-        g = _random_univ(Q, rng, V, "x", 3)
+    for df, dg in ((2, 3), (3, 3), (1, 3), (3, 1), (1, 1), (2, 2), (3, 5)) * 2:
+        f = _random_univ(Q, rng, V, "x", df)
+        g = _random_univ(Q, rng, V, "x", dg)
         a = resultant(f, g, "x")
         b = resultant(g, f, "x")
-        assert a == b or a == -b
+        assert not a.is_zero()
+        assert b == (a if df * dg % 2 == 0 else -a)
+
+
+def _random_poly(field, rng, degree, homogeneous):
+    """Random polynomial in X, Y, Z of the given degree in Z, with a nonzero
+    Z^degree term; cyclotomic coefficients use the generator."""
+    terms = {}
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            for c in range(degree + 1 - a - b):
+                if homogeneous and a + b + c != degree:
+                    continue
+                if rng.random() < 0.7:
+                    coeff = field.from_int(rng.randint(-3, 3))
+                    if field.kind == "cyclotomic":
+                        coeff = coeff + field.generator() * field.from_int(rng.randint(-2, 2))
+                    terms[(a, b, c)] = coeff
+    terms[(0, 0, degree)] = field.from_int(rng.randint(1, 2))
+    return MultiPoly(field, XYZ, terms)
+
+
+def _z_coefficients(p, point):
+    by_power = p.univariate_coefficients("Z")
+    return [by_power[k].evaluate(point) if k in by_power else p.field.zero() for k in range(p.degree_in("Z") + 1)]
+
+
+@pytest.mark.parametrize("name", ["Q", "Z5", "F5", "F7"])
+def test_resultant_specializes_to_sylvester_det(name, request):
+    field = make_field(FieldDescriptor.prime(5)) if name == "F5" else request.getfixturevalue(name)
+    rng = random.Random(len(name) * 101 + field.characteristic)
+    shapes = [(3, 3, True), (2, 3, True), (1, 2, False), (2, 2, False)]
+    points = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    for df, dg, homogeneous in shapes:
+        f = _random_poly(field, rng, df, homogeneous)
+        g = _random_poly(field, rng, dg, homogeneous)
+        R = resultant(f, g, "Z")
+        if homogeneous:
+            assert R.is_zero() or R.is_homogeneous() and R.degree() == df * dg
+        checked = 0
+        for x, y in points:
+            point = {"X": field.from_int(x), "Y": field.from_int(y), "Z": field.zero()}
+            fc, gc = _z_coefficients(f, point), _z_coefficients(g, point)
+            if fc[-1].is_zero() or gc[-1].is_zero():
+                continue
+            assert R.evaluate(point) == sylvester_det(fc, gc, field)
+            checked += 1
+        assert checked >= 5
 
 
 def test_homogenize_dehomogenize(Q):

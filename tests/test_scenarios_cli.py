@@ -112,6 +112,20 @@ def test_run_command_exit_codes():
             assert run_command(["verify", path]) == EXIT_INPUT
         finally:
             os.unlink(path)
+    # a quartic deck over F_5: the multiplicity-bound resultants need no interpolation nodes
+    path = _tmpfile(
+        {
+            "field": {"kind": "prime", "p": 5},
+            "curve": {"param": ["2*u^4 - 3*u^3*v - u^2*v^2 + 2*u*v^3 - 2*v^4", "u^4", "v^4"]},
+            "point": ["1", "0", "0"],
+            "generators": [[["2", "0"], ["0", "1"]]],
+        }
+    )
+    try:
+        assert run_command(["galois", "test", path, "--point", "1,0,0"]) == EXIT_OK
+        assert run_command(["verify", path]) == EXIT_OK
+    finally:
+        os.unlink(path)
 
 
 def test_cli_conic_galois_test_subprocess():
