@@ -133,6 +133,12 @@ def run_command(argv) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_INPUT
+    if args.degree_bound is not None and args.degree_bound < 0:
+        print("input error: --degree-bound must be at least 0", file=sys.stderr)
+        return EXIT_INPUT
+    if args.precision_budget is not None and args.precision_budget < 1:
+        print("input error: --precision-budget must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     try:
         if args.command == "verify":
             return _cmd_verify(args)

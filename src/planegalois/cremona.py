@@ -21,7 +21,7 @@ from .maps import (
     proportional_eq,
     std_quadratic_pushforward,
 )
-from .polynomials import MultiPoly, exact_div, poly_gcd
+from .polynomials import MultiPoly, divides, exact_div, poly_gcd
 
 
 class PairingReport:
@@ -233,44 +233,32 @@ class ChainTransport:
         return conic_lift(self.mu.compose(g).compose(self.mu.inverse()))
 
     def extension_for(self, g: LineMobius) -> Optional[PlaneRationalMap]:
-        """Conjugated extension without the internal divisibility pass; the
+        """Conjugated extension without the start-curve divisibility pass; the
         caller is expected to re-verify on the parametrization."""
         A = self.end_automorphism(g)
         if A is None:
             return None
-        return conjugate_extension(
-            self.chain, A, forward=self.forward, backward=self.backward, verify=False
-        )
+        return _conjugate(self.chain, A, self.forward, self.backward)
 
 
 def _mobius_from_conic_param(h: Parametrization) -> Optional[LineMobius]:
-    """Extract mu from h = rho o mu, rho = [u^2 : uv : v^2]."""
-    field = h.field
-    for first, second in ((0, 1), (1, 2)):
-        f1, f2 = h.forms[first], h.forms[second]
-        if f1.is_zero() and f2.is_zero():
-            continue
-        if f1.is_zero() or f2.is_zero():
-            # mu has a zero component: h1 = mu1^2 etc.; handle via square roots
-            continue
-        g = poly_gcd(f1, f2)
-        m1 = exact_div(f1, g)
-        m2 = exact_div(f2, g)
-        if m1.degree() != 1 and m2.degree() != 1:
-            continue
-        a = m1.coefficient((1, 0))
-        b = m1.coefficient((0, 1))
-        c = m2.coefficient((1, 0))
-        d = m2.coefficient((0, 1))
-        try:
-            mu = LineMobius(field, ((a, b), (c, d)))
-        except ValueError:
-            continue
-        rho_mu = _rho_of(mu)
-        if proportional_eq(rho_mu, h.forms):
-            return mu
-    # Degenerate cases ([1:0] or [0:1] fixed patterns): try direct square shapes.
-    return _mobius_from_conic_param_degenerate(h)
+    """mu with h proportional to rho o mu, rho = [u^2 : uv : v^2], if any.
+
+    If h = c (m1^2, m1 m2, m2^2) with m1, m2 coprime, then (h1, h2) divided
+    by gcd(h1, h2) is proportional to (m1, m2); so this one candidate decides."""
+    f1, f2 = h.forms[0], h.forms[1]
+    if f1.is_zero():
+        return None
+    g = poly_gcd(f1, f2)
+    m1, m2 = exact_div(f1, g), exact_div(f2, g)
+    try:
+        mu = LineMobius(
+            h.field,
+            ((m1.coefficient((1, 0)), m1.coefficient((0, 1))), (m2.coefficient((1, 0)), m2.coefficient((0, 1)))),
+        )
+    except ValueError:
+        return None
+    return mu if proportional_eq(_rho_of(mu), h.forms) else None
 
 
 def _rho_of(mu: LineMobius) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
@@ -283,82 +271,28 @@ def _rho_of(mu: LineMobius) -> Tuple[MultiPoly, MultiPoly, MultiPoly]:
     return (m1 * m1, m1 * m2, m2 * m2)
 
 
-def _mobius_from_conic_param_degenerate(h: Parametrization) -> Optional[LineMobius]:
-    field = h.field
-    f1, f3 = h.forms[0], h.forms[2]
-    r1 = _form_square_root(f1)
-    r3 = _form_square_root(f3)
-    if r1 is None or r3 is None:
-        return None
-    for sign in (field.one(), -field.one()):
-        a = r1.coefficient((1, 0))
-        b = r1.coefficient((0, 1))
-        c = (r3.coefficient((1, 0))) * sign
-        d = (r3.coefficient((0, 1))) * sign
-        try:
-            mu = LineMobius(field, ((a, b), (c, d)))
-        except ValueError:
-            continue
-        if proportional_eq(_rho_of(mu), h.forms):
-            return mu
-    return None
-
-
-def _form_square_root(f: MultiPoly) -> Optional[MultiPoly]:
-    """Square root of a binary quadratic that is a perfect square, if any."""
-    from .fields import sqrt_in_field, Undetermined
-
-    if f.is_zero() or f.degree() != 2:
-        return None
-    field = f.field
-    cuu = f.coefficient((2, 0))
-    cvv = f.coefficient((0, 2))
-    lead = cuu if not cuu.is_zero() else cvv
-    root = sqrt_in_field(lead)
-    if root is None or isinstance(root, Undetermined):
-        return None
-    # f = (p u + q v)^2 with p^2 = cuu
-    u = MultiPoly.variable(field, ("u", "v"), "u")
-    v = MultiPoly.variable(field, ("u", "v"), "v")
-    if not cuu.is_zero():
-        p = root
-        q = f.coefficient((1, 1)) / (field.from_int(2) * p)
-        cand = u.scale(p) + v.scale(q)
-    else:
-        q = root
-        p = f.coefficient((1, 1)) / (field.from_int(2) * q)
-        cand = u.scale(p) + v.scale(q)
-    if cand * cand == f:
-        return cand
-    return None
-
-
-def conjugate_extension(
-    chain: ReductionChain,
-    end_automorphism: List[List[FieldElement]],
-    forward: Optional[PlaneRationalMap] = None,
-    backward: Optional[PlaneRationalMap] = None,
-    verify: bool = True,
-) -> PlaneRationalMap:
+def conjugate_extension(chain: ReductionChain, end_automorphism: List[List[FieldElement]]) -> PlaneRationalMap:
     """chain^-1 o end_automorphism o chain as a plane rational map.
 
-    The end automorphism must preserve chain.end; the result preserves
-    chain.start (its implicit form divides the pullback, checked unless the
-    caller verifies on a parametrization instead)."""
-    from .polynomials import divides
-
-    field = chain.start.field
-    end_map = PlaneRationalMap.from_matrix(field, end_automorphism)
-    end_F = chain.end.implicit
-    sub = {v: c for v, c in zip(CURVE_VARS, end_map.components)}
-    if not divides(end_F, end_F.substitute(sub)):
-        raise ValueError("the end automorphism does not preserve the end curve")
-    forward = forward if forward is not None else chain.forward_map()
-    backward = backward if backward is not None else chain.backward_map()
-    J = backward.compose(end_map).compose(forward)
-    if verify:
-        F = chain.start.implicit
-        subJ = {v: c for v, c in zip(CURVE_VARS, J.components)}
-        if not divides(F, F.substitute(subJ)):
-            raise RuntimeError("conjugated extension does not preserve the start curve")
+    The end automorphism must preserve chain.end; the result is checked to
+    preserve chain.start (its implicit form divides the pullback)."""
+    J = _conjugate(chain, end_automorphism, chain.forward_map(), chain.backward_map())
+    F = chain.start.implicit
+    if not divides(F, F.substitute(dict(zip(CURVE_VARS, J.components)))):
+        raise RuntimeError("conjugated extension does not preserve the start curve")
     return J
+
+
+def _conjugate(
+    chain: ReductionChain,
+    end_automorphism: List[List[FieldElement]],
+    forward: PlaneRationalMap,
+    backward: PlaneRationalMap,
+) -> PlaneRationalMap:
+    """backward o end_automorphism o forward, for an end automorphism that
+    preserves chain.end."""
+    end_map = PlaneRationalMap.from_matrix(chain.start.field, end_automorphism)
+    end_F = chain.end.implicit
+    if not divides(end_F, end_F.substitute(dict(zip(CURVE_VARS, end_map.components)))):
+        raise ValueError("the end automorphism does not preserve the end curve")
+    return backward.compose(end_map).compose(forward)

@@ -367,17 +367,8 @@ class FieldElement:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.field.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        base = self.inverse() if exponent < 0 else self
+        return _power(base, abs(exponent), self.field.one())
 
     def __eq__(self, other):
         return (
@@ -428,6 +419,21 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self} in {self.field}>"
+
+
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by binary powering, for any value with a
+    multiplication; squares only while higher bits of n remain."""
+    if n < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while n:
+        if n & 1:
+            result = base if result is one else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def _frac_poly_divmod(num: list, den: list) -> tuple:

@@ -331,26 +331,15 @@ def parameter_data(
     T = move_point_first(P)
     T_inv = mat_inv(T, field)
     std_forms = mat_vec(T_inv, phi.forms)
-    d1, d2, d3 = [_binary_dehom(f, field) for f in std_forms]
+    d1, d2, d3 = [f.dehomogenize("v").to_poly1("u") for f in std_forms]
     if d3.is_zero():
         raise ValueError("the curve lies in the chart's line at infinity")
     x_t = RatFunc(d1, d3)
     psi_t = RatFunc(d2, d3)
     g_forms = [g.substitute_into(f) for f in std_forms]
-    e1, e2, e3 = [_binary_dehom(f, field) for f in g_forms]
+    e1, e2, e3 = [f.dehomogenize("v").to_poly1("u") for f in g_forms]
     sigma_x_t = RatFunc(e1, e3)
     return x_t, sigma_x_t, psi_t
-
-
-def _binary_dehom(form: MultiPoly, field: Field) -> Poly1:
-    """f(t, 1) for a binary form in (u, v)."""
-    coeffs: Dict[int, FieldElement] = {}
-    for e, c in form.terms.items():
-        coeffs[e[0]] = coeffs.get(e[0], field.zero()) + c
-    if not coeffs:
-        return Poly1(field, [])
-    top = max(coeffs)
-    return Poly1(field, [coeffs.get(k, field.zero()) for k in range(top + 1)])
 
 
 # -- the Moebius solver --------------------------------------------------------
@@ -380,19 +369,18 @@ def mobius_solver(
     psi_t: RatFunc,
     field: Field,
     degree_bound: int,
-    seed: int = 0,
 ) -> MobiusSolution:
     """Search for alpha, beta, gamma, delta in k[y] of degree <= degree_bound
     with sigma(x) = (alpha(y) x + beta(y)) / (gamma(y) x + delta(y)) as an
     identity in k(t), y = psi(t).
 
-    The identity is linear in the unknown coefficients; the nullspace of the
-    resulting exact system is scanned for a vector with nonzero determinant.
-    When every vector of the solution space is degenerate (checked through
-    the polarized determinant form, valid away from characteristic 2), the
-    answer is NONE; it is reported as proven when the base map is a pure
-    power map t -> c*t^n with a primitive n-th root of unity in k, which
-    yields a completeness bound for the coefficient degrees.
+    When psi factors through a pure power map t -> t^n with a primitive n-th
+    root of unity in k, the graded solver decides the question completely;
+    it is the only source of a proven NONE.  Otherwise, or when its
+    least-degree solution lies above the bound, the identity is solved as a
+    linear system in the coefficients of the ansatz, and a member of the
+    nullspace with nonzero determinant is the witness; without one the
+    answer is NONE up to the bound.
     """
     D = degree_bound
     graded = _graded_mobius_solve(x_t, sigma_x_t, psi_t, field, D)
@@ -417,98 +405,51 @@ def mobius_solver(
     for r in range(height):
         rows.append([c[r] for c in columns])
     kernel = nullspace(rows, field, width=len(columns))
-
-    def unpack(vec) -> Tuple[Poly1, Poly1, Poly1, Poly1]:
-        chunks = []
-        for m in range(4):
-            chunk = vec[m * (D + 1) : (m + 1) * (D + 1)]
-            chunks.append(Poly1(field, chunk))
-        return tuple(chunks)
-
-    solutions = [unpack(v) for v in kernel]
-    dets = [(s[0] * s[3] - s[1] * s[2]) for s in solutions]
-    found_index = next((i for i, dv in enumerate(dets) if not dv.is_zero()), None)
-    if found_index is not None:
-        return _finish_mobius(solutions[found_index], D)
-
-    if solutions and field.characteristic != 2:
-        # Every basis determinant vanishes; the determinant vanishes on the
-        # whole solution space iff all polarizations vanish too.
-        for i in range(len(solutions)):
-            for j in range(i + 1, len(solutions)):
-                si, sj = solutions[i], solutions[j]
-                polar = si[0] * sj[3] + sj[0] * si[3] - si[1] * sj[2] - sj[1] * si[2]
-                if not polar.is_zero():
-                    # det(v_i + c v_j) = c * polar for any c != 0 here.
-                    combo = tuple(a + b for a, b in zip(si, sj))
-                    return _finish_mobius(combo, D)
-    elif solutions:  # characteristic 2: no polarization identity, search
-        combo = _search_combinations(solutions, field, seed)
-        if combo is not None:
-            return _finish_mobius(combo, D)
-        return MobiusSolution("none_up_to_bound", None, D, {"reason": "char-2 search exhausted"})
-
-    proven_bound = _pure_power_bound(x_t, sigma_x_t, psi_t, field)
-    if proven_bound is not None and D >= proven_bound and field.characteristic != 2:
-        return MobiusSolution(
-            "none_proven",
-            None,
-            D,
-            {"completeness_bound": proven_bound, "nullspace_dimension": len(solutions)},
-        )
+    solutions = [
+        tuple(Poly1(field, vec[m * (D + 1) : (m + 1) * (D + 1)]) for m in range(4)) for vec in kernel
+    ]
+    members = _nondegenerate(solutions)
+    if members:
+        return _finish_mobius(members[0], D)
     return MobiusSolution(
         "none_up_to_bound", None, D, {"nullspace_dimension": len(solutions)}
     )
 
 
-def _finish_mobius(parts: Tuple[Poly1, Poly1, Poly1, Poly1], D: int) -> MobiusSolution:
-    alpha, beta, gamma, delta = parts
-    content = alpha
-    for other in (beta, gamma, delta):
-        content = content.gcd(other)
+def _nondegenerate(solutions: Sequence[Tuple[Poly1, Poly1, Poly1, Poly1]]) -> List[Tuple[Poly1, ...]]:
+    """Members of the span of (alpha, beta, gamma, delta) vectors with nonzero
+    determinant alpha*delta - beta*gamma: the basis members that have one,
+    or else v_i + v_j for the first nonzero polarization.
+
+    det(sum c_i v_i) = sum c_i^2 det(v_i) + sum_(i<j) c_i c_j polar(v_i, v_j)
+    in every characteristic, so an empty answer means that the determinant
+    vanishes on the whole span."""
+    members = [s for s in solutions if not (s[0] * s[3] - s[1] * s[2]).is_zero()]
+    if members:
+        return members
+    for i, si in enumerate(solutions):
+        for sj in solutions[i + 1 :]:
+            polar = si[0] * sj[3] + sj[0] * si[3] - si[1] * sj[2] - sj[1] * si[2]
+            if not polar.is_zero():
+                return [tuple(a + b for a, b in zip(si, sj))]
+    return []
+
+
+def _primitive(polys: Sequence[Poly1]) -> Tuple[Poly1, ...]:
+    """The polynomials divided by the monic gcd of their nonzero members."""
+    content = None
+    for p in polys:
+        if p.is_zero():
+            continue
+        content = p if content is None else content.gcd(p)
         if content.degree() == 0:
-            break
-    if not content.is_zero() and content.degree() not in (NEG_INF, 0):
-        alpha, beta, gamma, delta = (
-            x.exact_div(content) if not x.is_zero() else x for x in (alpha, beta, gamma, delta)
-        )
-    mob = MobiusOverBase.from_polynomials((alpha, beta, gamma, delta))
-    return MobiusSolution("found", mob, D)
+            return tuple(polys)
+    content = content.monic()
+    return tuple(p.exact_div(content) for p in polys)
 
 
-def _search_combinations(solutions, field, seed):
-    rng = random.Random(seed)
-    p = field.characteristic
-    small = [field.from_int(k) for k in range(p)] if p and p <= 5 else None
-    if small and len(solutions) <= 4:
-        import itertools as _it
-
-        for coeffs in _it.product(small, repeat=len(solutions)):
-            if all(c.is_zero() for c in coeffs):
-                continue
-            cand = _linear_combo(solutions, coeffs, field)
-            det = cand[0] * cand[3] - cand[1] * cand[2]
-            if not det.is_zero():
-                return cand
-        return None
-    for _ in range(200):
-        coeffs = [field.from_int(rng.randint(0, 6)) for _ in solutions]
-        if all(c.is_zero() for c in coeffs):
-            continue
-        cand = _linear_combo(solutions, coeffs, field)
-        det = cand[0] * cand[3] - cand[1] * cand[2]
-        if not det.is_zero():
-            return cand
-    return None
-
-
-def _linear_combo(solutions, coeffs, field):
-    acc = [Poly1(field, []) for _ in range(4)]
-    for sol, c in zip(solutions, coeffs):
-        if c.is_zero():
-            continue
-        acc = [a + s.scale(c) for a, s in zip(acc, sol)]
-    return tuple(acc)
+def _finish_mobius(parts: Tuple[Poly1, Poly1, Poly1, Poly1], D: int) -> MobiusSolution:
+    return MobiusSolution("found", MobiusOverBase.from_polynomials(_primitive(parts)), D)
 
 
 def _graded_mobius_solve(x_t, sigma_x_t, psi_t, field, D) -> Optional[MobiusSolution]:
@@ -521,8 +462,6 @@ def _graded_mobius_solve(x_t, sigma_x_t, psi_t, field, D) -> Optional[MobiusSolu
     Returns None when the grading does not apply (then the caller runs the
     polynomial ansatz); falls back likewise if a solution exists only above
     the requested degree bound."""
-    if field.characteristic == 2:
-        return None
     n = psi_t.degree_as_map()
     if n < 2:
         return None
@@ -552,35 +491,14 @@ def _graded_mobius_solve(x_t, sigma_x_t, psi_t, field, D) -> Optional[MobiusSolu
             [components[0][k], components[1][k], -components[2][k], -components[3][k]]
         )
     kernel = nullspace(rows, ring, width=4)
-    if not kernel:
-        return MobiusSolution("none_proven", None, D, {"method": "graded components", "nullspace_dimension": 0})
     beta_inv = beta.inverse()
     reps = []
     for vec in kernel:
-        in_y = [_ratfunc_compose_mobius(r, beta_inv, field) for r in vec]
-        reps.append(_clear_ratfunc_vector(in_y, field))
-
-    def as_mobius_parts(rep):
-        gamma_p, delta_p, a_p, b_p = rep
-        return (a_p, b_p, gamma_p, delta_p)
-
-    valid = []
-    for rep in reps:
-        alpha, beta_p, gamma, delta = as_mobius_parts(rep)
-        det = alpha * delta - beta_p * gamma
-        if not det.is_zero():
-            valid.append((alpha, beta_p, gamma, delta))
-    if not valid and len(reps) > 1:
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                ai = as_mobius_parts(reps[i])
-                aj = as_mobius_parts(reps[j])
-                polar = ai[0] * aj[3] + aj[0] * ai[3] - ai[1] * aj[2] - aj[1] * ai[2]
-                if not polar.is_zero():
-                    valid.append(tuple(x + y for x, y in zip(ai, aj)))
-                    break
-            if valid:
-                break
+        gamma_p, delta_p, a_p, b_p = _clear_ratfunc_vector(
+            [_ratfunc_compose_mobius(r, beta_inv, field) for r in vec], field
+        )
+        reps.append((a_p, b_p, gamma_p, delta_p))
+    valid = _nondegenerate(reps)
     if not valid:
         return MobiusSolution(
             "none_proven", None, D, {"method": "graded components", "nullspace_dimension": len(kernel)}
@@ -635,17 +553,7 @@ def _clear_ratfunc_vector(vec, field) -> Tuple[Poly1, Poly1, Poly1, Poly1]:
     for r in vec:
         g = lcm.gcd(r.den)
         lcm = lcm * r.den.exact_div(g)
-    cleared = [r.num * lcm.exact_div(r.den) for r in vec]
-    content = None
-    for c in cleared:
-        if c.is_zero():
-            continue
-        content = c if content is None else content.gcd(c)
-        if content.degree() == 0:
-            break
-    if content is not None and content.degree() not in (NEG_INF, 0):
-        cleared = [c.exact_div(content) if not c.is_zero() else c for c in cleared]
-    return tuple(cleared)
+    return _primitive([r.num * lcm.exact_div(r.den) for r in vec])
 
 
 def primitive_nth_root(field: Field, n: int) -> Optional[FieldElement]:
@@ -677,47 +585,6 @@ def _mult_order(x: FieldElement, cap: int) -> Optional[int]:
             return k
         acc = acc * x
     return None
-
-
-def _pure_power_bound(x_t, sigma_x_t, psi_t, field) -> Optional[int]:
-    """Completeness bound for the ansatz degree when psi is c*t^n.
-
-    k(t) splits over k(t^n) into graded components; expressing the defining
-    identity componentwise gives an exact linear system over k(y) whose
-    Cramer solutions have degree at most 3 * (largest cleared entry degree).
-    """
-    if not psi_t.den.degree() in (NEG_INF, 0):
-        return None
-    p = psi_t.num
-    n = int(p.degree())
-    if n < 1:
-        return None
-    if any(not p[k].is_zero() for k in range(n)):
-        return None
-    zeta = primitive_nth_root(field, n)
-    if zeta is None:
-        return None
-    one = RatFunc.from_const(field, field.one())
-    w_list = [sigma_x_t * x_t, sigma_x_t, x_t, one]
-    max_entry = 0
-    components = []
-    for w in w_list:
-        comps = _graded_components(w, n, zeta, field)
-        if comps is None:
-            return None
-        components.append(comps)
-    for k in range(n):
-        row = [components[m][k] for m in range(4)]
-        lcm = Poly1.one(field)
-        for r in row:
-            g = lcm.gcd(r.den)
-            lcm = lcm * r.den.exact_div(g)
-        for r in row:
-            if r.is_zero():
-                continue
-            cleared = r.num * lcm.exact_div(r.den)
-            max_entry = max(max_entry, int(cleared.degree()))
-    return 3 * max_entry
 
 
 def _graded_components(h: RatFunc, n: int, zeta: FieldElement, field: Field) -> Optional[List[RatFunc]]:
@@ -991,39 +858,29 @@ def extension_verdict(
     a linear extension, or a refutation of all three."""
     if not certificate.is_galois():
         raise ValueError("extension verdicts need an established Galois certificate")
+    phi = C.param
+    if certificate.group and phi is None:
+        raise ValueError("extension verdicts for deck elements need a parametrization")
     model = projection_model(C, P)
     D = degree_bound if degree_bound is not None else default_degree_bound(model)
-    phi = C.param
-    reports: List[ElementReport] = []
 
-    elements: Sequence = certificate.group
-    if not elements:
+    def identity(element) -> ElementReport:
+        return ElementReport(element, "jonquieres", witness=MobiusOverBase.identity(C.field), notes="identity")
+
+    if not certificate.group:
         # Algebraic certificates carry no explicit deck maps; report on
         # abstract group elements instead.
-        elements = ["identity"] + [f"sigma^{k}" if k > 1 else "sigma" for k in range(1, certificate.degree)]
-
+        return [identity("identity")] + _sigma_power_reports(model)
+    reports: List[ElementReport] = []
     multip_ok = None  # lazily computed Lemma-multip hypothesis
     chain_transport = None  # cached (forward parametrization data) per chain
 
-    for g in elements:
-        if isinstance(g, str):
-            if g == "identity":
-                reports.append(
-                    ElementReport(g, "jonquieres", witness=MobiusOverBase.identity(C.field), notes="identity")
-                )
-            else:
-                reports.append(_implicit_element_report(model, g))
-            continue
+    for g in certificate.group:
         if g.is_identity():
-            reports.append(
-                ElementReport(g, "jonquieres", witness=MobiusOverBase.identity(C.field), notes="identity")
-            )
-            continue
-        if phi is None:
-            reports.append(_implicit_element_report(model, g))
+            reports.append(identity(g))
             continue
         x_t, sigma_x_t, psi_t = parameter_data(phi, P, g)
-        solution = mobius_solver(x_t, sigma_x_t, psi_t, C.field, D, seed=seed)
+        solution = mobius_solver(x_t, sigma_x_t, psi_t, C.field, D)
         if solution.found():
             J = jonquieres_builder(solution.mobius, P, C.field)
             _verify_jonquieres(C, P, phi, g, J)
@@ -1076,14 +933,16 @@ def extension_verdict(
     return reports
 
 
-def _implicit_element_report(model: ProjectionModel, g: str) -> ElementReport:
-    """Implicit-only curves: construct the witness of g = sigma^k algebraically,
-    as the k-th power of sigma's Moebius map, when the extension degree is at
-    most 3."""
-    n = model.ext_degree
+def _sigma_power_reports(model: ProjectionModel) -> List[ElementReport]:
+    """Reports on sigma^k, 0 < k < n, for a curve without deck maps.
+
+    sigma's Moebius map is built once, when the extension degree n is at
+    most 3, and the witness of sigma^k is its k-th power."""
     field = model.fiber_poly.field
-    nu = cubic_sigma_polynomial_form(model) if n == 3 else None
-    if n == 2:
+    degree = model.ext_degree
+    labels = [f"sigma^{k}" if k > 1 else "sigma" for k in range(1, degree)]
+    nu = cubic_sigma_polynomial_form(model) if degree == 3 else None
+    if degree == 2:
         coeffs = model.monic_coefficients()
         ring = RatFuncField(field)
         mob = MobiusOverBase((-(ring.one()), -coeffs[1], ring.zero(), ring.one()))
@@ -1092,12 +951,15 @@ def _implicit_element_report(model: ProjectionModel, g: str) -> ElementReport:
         mob = lemma31_formulas(_monic_cubic_coefficients(model), nu)
         notes = "Lemma 3.1 normal form"
     else:
-        return ElementReport(g, "undetermined", notes="no parametrization and no algebraic route")
+        return [ElementReport(g, "undetermined", notes="no parametrization and no algebraic route") for g in labels]
+    reports = []
     power = mob
-    for _ in range(int(g.partition("^")[2] or 1) - 1):
-        power = power.compose(mob)
-    J = jonquieres_builder(power, model.center, field)
-    return ElementReport(g, "jonquieres", witness=(power, J), notes=notes)
+    for k, g in enumerate(labels):
+        if k:
+            power = power.compose(mob)
+        J = jonquieres_builder(power, model.center, field)
+        reports.append(ElementReport(g, "jonquieres", witness=(power, J), notes=notes))
+    return reports
 
 
 def _verify_jonquieres(C: PlaneCurve, P: ProjPoint, phi, g, J: PlaneRationalMap):
@@ -1120,17 +982,10 @@ def _witness_checks(C: PlaneCurve, phi, g, J: PlaneRationalMap) -> Tuple[bool, b
     cheap binary-form arithmetic; the raw pullback forms also serve for the
     restriction check, no gcd clearing needed."""
     F = C.implicit
-    if phi is None:
-        from .polynomials import divides
-
-        sub = {v: c for v, c in zip(CURVE_VARS, J.components)}
-        return divides(F, F.substitute(sub)), True
     sub_phi = {v: f for v, f in zip(CURVE_VARS, phi.forms)}
     j_phi = [c.substitute(sub_phi) for c in J.components]
     pullback = F.substitute({v: f for v, f in zip(CURVE_VARS, j_phi)})
     preserves = pullback.is_zero()
-    if g is None:
-        return preserves, True
     right = [g.substitute_into(f) for f in phi.forms]
     restricts = proportional_eq(j_phi, right)
     return preserves, restricts

@@ -72,18 +72,6 @@ class LineMobius:
         (a, b), (c, d) = self.matrix
         return b.is_zero() and c.is_zero() and a == d
 
-    def __pow__(self, n: int) -> "LineMobius":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = LineMobius.identity(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            n >>= 1
-        return result
-
     def order(self, limit: int = 120) -> Optional[int]:
         current = self
         for k in range(1, limit + 1):

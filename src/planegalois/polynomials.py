@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
-from .fields import Field, FieldElement, FieldMismatchError
+from .fields import Field, FieldElement, FieldMismatchError, _power
 from .linalg import mat_det
 
 NEG_INF = float("-inf")
@@ -155,16 +155,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = MultiPoly.one(self.field, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, MultiPoly.one(self.field, self.vars))
 
     def __eq__(self, other):
         return (
@@ -635,14 +626,7 @@ class Poly1:
         return Poly1(self.ring, [a * c for a in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly1":
-        result = Poly1.one(self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Poly1.one(self.ring))
 
     def __divmod__(self, other: "Poly1"):
         if other.is_zero():

@@ -617,7 +617,7 @@ def run_scenario(
             from .galois import mobius_solver, parameter_data
 
             x_t, sx_t, psi_t = parameter_data(C.param, P, gen)
-            at_bound = mobius_solver(x_t, sx_t, psi_t, field, exp["mobius_none_at_bound"], seed=seed)
+            at_bound = mobius_solver(x_t, sx_t, psi_t, field, exp["mobius_none_at_bound"])
             checks.append(
                 Check(
                     f"mobius solver NONE at degree bound {exp['mobius_none_at_bound']}",

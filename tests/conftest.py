@@ -1,6 +1,16 @@
+import os
+
 import pytest
 
+from planegalois.cli import render_report
 from planegalois.fields import FieldDescriptor, make_field
+
+
+def _assert_golden(report: dict, name: str) -> None:
+    """The report renders byte for byte as the committed `tests/data/<name>.json`."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        assert render_report(report, "json") + "\n" == fh.read()
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import random
 import time
 
 import pytest
+from conftest import _assert_golden
 
 from planegalois.cremona import ChainTransport, conic_lift, kodaira_pairing, line_equivalence_decision
 from planegalois.curves import (
@@ -340,6 +341,8 @@ def test_criterion_7_conjugation_invariance(name):
         trials += 1
         moved = conjugate_scenario(scenario, M)
         report = run_scenario(moved, seed=0)
+        if trials <= 2:
+            _assert_golden(report, f"{name}-conjugated-{trials - 1}")
         _pass(report["checks"])
         assert report["curve_degree"] == base["curve_degree"]
         assert report["extension_degree"] == base["extension_degree"]

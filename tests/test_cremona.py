@@ -278,3 +278,26 @@ def test_end_automorphism_must_preserve_end_curve(Q):
     bad = [[Q.one(), Q.one(), Q.zero()], [Q.zero(), Q.one(), Q.zero()], [Q.zero(), Q.zero(), Q.one()]]
     with pytest.raises(ValueError):
         conjugate_extension(chain, bad)
+
+
+@pytest.mark.parametrize("name", ["Q", "Z8", "F7"])
+def test_mobius_from_conic_param(name, request):
+    field = request.getfixturevalue(name)
+    from planegalois.cremona import _mobius_from_conic_param, _rho_of
+
+    rng = random.Random(29)
+    ints = [((1, 0), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (1, 1)), ((2, 3), (-1, 4))]
+    while len(ints) < 12:
+        entries = ((rng.randint(-4, 4), rng.randint(-4, 4)), (rng.randint(-4, 4), rng.randint(-4, 4)))
+        if (entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]) % 7:
+            ints.append(entries)
+    for k, rows in enumerate(ints):
+        mu = LineMobius(field, [[field.from_int(x) for x in row] for row in rows])
+        scale = field.from_int(k % 5 + 2)
+        h = Parametrization([f.scale(scale) for f in _rho_of(mu)])
+        found = _mobius_from_conic_param(h)
+        assert found is not None
+        assert proportional_eq(_rho_of(found), h.forms)
+    # (u^2, v^2, uv) is not rho o mu for any mu
+    not_conic = Parametrization([parse_poly(t, field, PARAM_VARS) for t in ("u^2", "v^2", "u*v")])
+    assert _mobius_from_conic_param(not_conic) is None

@@ -31,6 +31,7 @@ from planegalois.linalg import mat_det, mat_vec
 from planegalois.maps import LineMobius, MobiusOverBase, PlaneRationalMap, proportional_eq
 from planegalois.parsing import parse_poly
 from planegalois.polynomials import MultiPoly, RatFunc, divides
+from planegalois.scenarios import load_scenario
 
 QUARTIC = "X^4 - 4*Z*Y*X^2 - Z*Y^3 + 2*Z^2*Y^2 - Y*Z^3"
 
@@ -236,6 +237,38 @@ def test_mobius_solver_quartic_refutation(Z8):
     assert sol2.found()
     alpha, beta, gamma, delta = sol2.mobius.entries
     assert beta.is_zero() and gamma.is_zero()
+
+
+def test_mobius_solver_defers_above_the_bound(Z3):
+    # the graded solver finds sigma's degree-1 map; below that degree the ansatz answers
+    scenario = load_scenario("cubic-omega")
+    C, P, g = scenario.curve, scenario.point, scenario.generators[0]
+    x_t, sx_t, psi_t = parameter_data(C.param, P, g)
+    assert mobius_solver(x_t, sx_t, psi_t, Z3, 0).status == "none_up_to_bound"
+    sol = mobius_solver(x_t, sx_t, psi_t, Z3, 1)
+    assert sol.found()
+    assert max(int(r.num.degree()) for r in sol.mobius.entries if not r.is_zero()) <= 1
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_nondegenerate_members(p):
+    from planegalois.fields import FieldDescriptor, make_field
+    from planegalois.galois import _nondegenerate
+    from planegalois.polynomials import Poly1
+
+    field = make_field(FieldDescriptor.prime(p) if p else FieldDescriptor.rational())
+
+    def vec(*entries):
+        return tuple(Poly1(field, [field.from_int(e)]) for e in entries)
+
+    # every basis determinant vanishes, the polarization does not: v1 + v2 = (1, 0, 0, 1)
+    assert _nondegenerate([vec(1, 0, 0, 0), vec(0, 0, 0, 1)]) == [vec(1, 0, 0, 1)]
+    # alpha and beta only: the determinant vanishes on the whole span
+    assert _nondegenerate([vec(1, 0, 0, 0), vec(0, 1, 0, 0)]) == []
+    assert _nondegenerate([]) == []
+    # basis members with nonzero determinant are returned as they are
+    basis = [vec(1, 0, 0, 0), vec(0, 1, 1, 0), vec(1, 0, 0, 1)]
+    assert _nondegenerate(basis) == basis[1:]
 
 
 def test_mobius_solver_identity(Z3):
@@ -447,6 +480,15 @@ def test_extension_verdicts_cubic_all_jonquieres(Z3):
     )
     reports = extension_verdict(cubic, P, cert, seed=0)
     assert all(r.verdict == "jonquieres" for r in reports)
+
+
+def test_extension_verdicts_deck_elements_need_a_parametrization(Z3):
+    cubic, P = _cubic_scenario(Z3)
+    cert = deck_group_from_candidates(
+        cubic.param, P, [LineMobius.diagonal(Z3, Z3.generator(), Z3.one())]
+    )
+    with pytest.raises(ValueError):
+        extension_verdict(curve_from_implicit(cubic.implicit), P, cert, seed=0)
 
 
 def test_extension_verdicts_implicit_cubic_sigma_powers(Z3):

@@ -271,6 +271,19 @@ def test_resultant_specializes_to_sylvester_det(name, request):
         assert checked >= 5
 
 
+def test_powers(Q, F3):
+    f = P("X - 2*Y + 3*Z", Q)
+    g = Poly1(F3, [F3.from_int(2), F3.one()])
+    f_acc, g_acc = MultiPoly.one(Q, XYZ), Poly1.one(F3)
+    for n in range(10):
+        assert f**n == f_acc and g**n == g_acc
+        f_acc, g_acc = f_acc * f, g_acc * g
+    with pytest.raises(ValueError):
+        f ** -1
+    with pytest.raises(ValueError):
+        g ** -1
+
+
 def test_homogenize_dehomogenize(Q):
     affine = parse_poly("x^3 - 3*x*y - y^2 - y", Q, ("x", "y"))
     # rename to X, Y before homogenizing into Z

@@ -5,6 +5,7 @@ import sys
 import tempfile
 
 import pytest
+from conftest import _assert_golden
 
 from planegalois.cli import EXIT_FAILED, EXIT_INPUT, EXIT_OK, render_report, run_command
 from planegalois.maps import LineMobius
@@ -22,13 +23,6 @@ def _tmpfile(data) -> str:
     json.dump(data, fh)
     fh.close()
     return fh.name
-
-
-def _assert_golden(report: dict, name: str) -> None:
-    """The report renders byte for byte as the committed `verify <name> --json` output."""
-    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        assert render_report(report, "json") + "\n" == fh.read()
 
 
 CONIC_FILE = {
@@ -96,6 +90,9 @@ def test_scenario_file_validation():
 def test_run_command_exit_codes():
     assert run_command(["verify", "no-such-scenario"]) == EXIT_INPUT
     assert run_command(["verify", "cubic-omega"]) == EXIT_OK
+    # numeric flags out of range are input errors, not failed verifications
+    assert run_command(["verify", "cubic-omega", "--degree-bound", "-1"]) == EXIT_INPUT
+    assert run_command(["verify", "cubic-omega", "--precision-budget", "0"]) == EXIT_INPUT
     path = _tmpfile(CONIC_FILE)
     try:
         assert run_command(["galois", "test", path, "--point", "1,0,0"]) == EXIT_OK
@@ -126,6 +123,30 @@ def test_run_command_exit_codes():
         assert run_command(["verify", path]) == EXIT_OK
     finally:
         os.unlink(path)
+
+
+def test_verify_conic_over_f2():
+    # characteristic 2: the deck element u -> u + v of a conic over F_2 extends as a de Jonquieres map
+    path = _tmpfile(
+        {
+            "field": {"kind": "prime", "p": 2},
+            "curve": {"implicit": "X^2 + Y^2 + X*Z", "param": ["u^2", "u^2 + u*v", "v^2"]},
+            "point": ["1", "0", "0"],
+            "generators": [[["1", "1"], ["0", "1"]]],
+        }
+    )
+    try:
+        assert run_command(["verify", path]) == EXIT_OK
+        with open(path, "r", encoding="utf-8") as fh:
+            report = run_scenario(scenario_from_json(json.load(fh), name=path), seed=0)
+    finally:
+        os.unlink(path)
+    assert report["galois"] is True and report["group_order"] == 2
+    verdicts = {e["label"]: e["verdict"] for e in report["extensions"]}
+    assert verdicts == {"identity": "jonquieres", "generator": "jonquieres"}
+    witness = report["extensions"][1]["witness"]
+    assert witness[0]["mobius_over_base"] == {"alpha": "0", "beta": "y^2", "gamma": "1", "delta": "0"}
+    assert witness[1]["plane_map"] == ["Y^2", "X*Y", "X*Z"]
 
 
 def test_cli_conic_galois_test_subprocess():
