@@ -2,9 +2,19 @@
 
 Supported fields: the rationals Q, cyclotomic extensions Q(zeta_n) for small n,
 and prime fields F_p.  Elements are immutable and kept in a unique canonical
-form (reduced fractions, coordinate vectors reduced modulo the n-th cyclotomic
-polynomial, residues in [0, p)), so equality is plain data equality and values
-can be shared freely between threads.
+form, so equality is plain data equality and values can be shared freely
+between threads:
+
+- Q: a reduced `Fraction`;
+- Q(zeta_n): the power-basis coordinates 1, z, ..., z^(phi - 1) (reduced
+  modulo the n-th cyclotomic polynomial) as one integer vector over one
+  common denominator, `(coords, den)` with `den > 0` and
+  `gcd(den, *coords) == 1`, so zero is `((0,) * phi, 1)` (Cohen, GTM 138,
+  section 4.2);
+- F_p: a residue in [0, p).
+
+`Fraction` appears in cyclotomic arithmetic only where a rational value goes
+in or out: `from_fraction`, `from_coords`, `inverse`, `embed` and `__str__`.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Union
 
 CYCLOTOMIC_CEILING = 64
@@ -208,26 +218,30 @@ class Field:
             if den == 0:
                 raise ZeroDivisionError("denominator vanishes in the prime field")
             return FieldElement(self, q.numerator * pow(den, p - 2, p) % p)
-        coords = [Fraction(0)] * self.phi
-        coords[0] = q
-        return FieldElement(self, tuple(coords))
+        coords = [0] * self.phi
+        coords[0] = q.numerator
+        return FieldElement(self, (tuple(coords), q.denominator))
 
     def from_coords(self, coords: Sequence[Fraction]) -> "FieldElement":
         if self.kind != "cyclotomic":
             raise ValueError("coordinate vectors only make sense for cyclotomic fields")
         if len(coords) != self.phi:
             raise ValueError(f"expected {self.phi} coordinates, got {len(coords)}")
-        return FieldElement(self, tuple(Fraction(c) for c in coords))
+        values = [Fraction(c) for c in coords]
+        # Over the lcm of reduced denominators the numerators share no factor
+        # with it, so the pair is already normalized.
+        den = lcm(*(v.denominator for v in values))
+        return FieldElement(
+            self, (tuple(v.numerator * (den // v.denominator) for v in values), den)
+        )
 
     def generator(self) -> "FieldElement":
         """zeta_n for cyclotomic fields."""
         if self.kind != "cyclotomic":
             raise ValueError(f"{self} has no distinguished generator")
-        coords = [Fraction(0)] * self.phi
-        if self.phi == 1:
-            return self.from_fraction(Fraction(-self._minpoly[0]))
-        coords[1] = Fraction(1)
-        return FieldElement(self, tuple(coords))
+        coords = [0] * self.phi
+        coords[1] = 1
+        return FieldElement(self, (tuple(coords), 1))
 
     def parse(self, text: str) -> "FieldElement":
         """Parse element text (`p`, `p/q`, and `z`-polynomials for cyclotomic)."""
@@ -236,7 +250,7 @@ class Field:
         return parse_element(text, self)
 
     def _reduce(self, conv: list) -> tuple:
-        """Reduce a length-(2*phi - 1) convolution mod Phi_n."""
+        """Reduce a length-(2*phi - 1) integer convolution mod Phi_n."""
         phi = self.phi
         out = list(conv[:phi])
         for j in range(phi, len(conv)):
@@ -275,14 +289,16 @@ class FieldElement:
         raise AttributeError("field elements are immutable")
 
     def _check(self, other: "FieldElement"):
-        if self.field.descriptor != other.field.descriptor:
+        # make_field interns one Field per descriptor; the descriptor test
+        # catches elements of a directly constructed Field.
+        if self.field is not other.field and self.field.descriptor != other.field.descriptor:
             raise FieldMismatchError(
                 f"cannot combine elements of {self.field} and {other.field}"
             )
 
     def is_zero(self) -> bool:
         if self.field.kind == "cyclotomic":
-            return all(c == 0 for c in self.data)
+            return not any(self.data[0])
         return self.data == 0
 
     def is_one(self) -> bool:
@@ -300,7 +316,10 @@ class FieldElement:
             return FieldElement(self.field, self.data + other.data)
         if kind == "prime":
             return FieldElement(self.field, (self.data + other.data) % self.field.descriptor.p)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.data, other.data)))
+        (ca, da), (cb, db) = self.data, other.data
+        if da == db:
+            return _cyclotomic(self.field, tuple(a + b for a, b in zip(ca, cb)), da)
+        return _cyclotomic(self.field, tuple(a * db + b * da for a, b in zip(ca, cb)), da * db)
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
@@ -313,7 +332,8 @@ class FieldElement:
             return FieldElement(self.field, -self.data)
         if kind == "prime":
             return FieldElement(self.field, (-self.data) % self.field.descriptor.p)
-        return FieldElement(self.field, tuple(-a for a in self.data))
+        coords, den = self.data
+        return FieldElement(self.field, (tuple(-a for a in coords), den))
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
@@ -324,14 +344,14 @@ class FieldElement:
             return FieldElement(self.field, self.data * other.data)
         if kind == "prime":
             return FieldElement(self.field, self.data * other.data % self.field.descriptor.p)
-        phi = self.field.phi
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.data):
+        (ca, da), (cb, db) = self.data, other.data
+        conv = [0] * (2 * self.field.phi - 1)
+        for i, a in enumerate(ca):
             if a:
-                for j, b in enumerate(other.data):
+                for j, b in enumerate(cb):
                     if b:
                         conv[i + j] += a * b
-        return FieldElement(self.field, self.field._reduce(conv))
+        return _cyclotomic(self.field, self.field._reduce(conv), da * db)
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -350,7 +370,7 @@ class FieldElement:
         # Extended Euclid against Phi_n over Q[x].
         phi = self.field.phi
         r0 = [Fraction(c) for c in self.field._minpoly]
-        r1 = list(self.data)
+        r1 = list(self._coords())
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while True:
             while r1 and r1[-1] == 0:
@@ -358,7 +378,7 @@ class FieldElement:
             if len(r1) == 1:
                 inv_c = 1 / r1[0]
                 coords = [c * inv_c for c in s1] + [Fraction(0)] * phi
-                return FieldElement(self.field, tuple(coords[:phi]))
+                return self.field.from_coords(coords[:phi])
             q, r = _frac_poly_divmod(r0, r1)
             s_next = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
             r0, r1 = r1, r
@@ -373,7 +393,7 @@ class FieldElement:
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
-            and self.field.descriptor == other.field.descriptor
+            and (self.field is other.field or self.field.descriptor == other.field.descriptor)
             and self.data == other.data
         )
 
@@ -390,7 +410,7 @@ class FieldElement:
         n = self.field.descriptor.n
         return sum(
             complex(c) * cmath.exp(2j * cmath.pi * k * j / n)
-            for j, c in enumerate(self.data)
+            for j, c in enumerate(self._coords())
         )
 
     def __str__(self):
@@ -399,9 +419,10 @@ class FieldElement:
             return str(self.data)
         if kind == "prime":
             return str(self.data)
+        coords = self._coords()
         parts = []
-        for j in range(len(self.data) - 1, -1, -1):
-            c = self.data[j]
+        for j in range(len(coords) - 1, -1, -1):
+            c = coords[j]
             if c == 0:
                 continue
             mono = "" if j == 0 else ("z" if j == 1 else f"z^{j}")
@@ -419,6 +440,21 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self} in {self.field}>"
+
+    def _coords(self) -> tuple:
+        """Cyclotomic coordinates as `Fraction`s."""
+        coords, den = self.data
+        return tuple(Fraction(c, den) for c in coords)
+
+
+def _cyclotomic(field: Field, coords: tuple, den: int) -> FieldElement:
+    """The cyclotomic element coords / den (den > 0), normalized."""
+    if den != 1:
+        g = gcd(den, *coords)
+        if g != 1:
+            den //= g
+            coords = tuple(c // g for c in coords)
+    return FieldElement(field, (coords, den))
 
 
 def _power(base, n: int, one):

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from planegalois.fields import (
+    Field,
     FieldDescriptor,
     FieldElement,
     FieldMismatchError,
@@ -60,14 +62,49 @@ def test_sqrt2_in_z8(Z8):
     assert s * s == Z8.from_int(2)
 
 
-def test_division_and_descriptor_mismatch(Q, Z3):
+def test_division_and_descriptor_mismatch(Q, Z3, Z4):
     with pytest.raises(ZeroDivisionError):
         Q.one() / Q.zero()
     with pytest.raises(FieldMismatchError):
         Q.one() + Z3.one()
+    with pytest.raises(FieldMismatchError):
+        Z3.one() * Z4.generator()
+    # A directly constructed Field is not the interned handle: elements
+    # combine by descriptor, and a different descriptor still fails.
+    w = Field(FieldDescriptor.cyclotomic(3)).generator()
+    assert w * Z3.generator() == Z3.generator() ** 2
+    assert w == Z3.generator() and hash(w) == hash(Z3.generator())
+    with pytest.raises(FieldMismatchError):
+        Field(FieldDescriptor.cyclotomic(4)).one() + Z3.one()
 
 
-@pytest.mark.parametrize("field_name", ["Q", "Z3", "Z5", "Z8", "F3", "F7"])
+def test_cyclotomic_canonical_form(Z5):
+    half = Z5.from_coords([Fraction(1, 2), 0, 3, 0])
+    same = Z5.from_coords([Fraction(2, 4), Fraction(0, 7), Fraction(6, 2), 0])
+    assert half == same and hash(half) == hash(same)
+    b = Z5.from_coords([Fraction(1, 3), -1, 0, Fraction(3, 2)])
+    assert str(b) == "3/2*z^3 - z + 1/3"
+    for value, expected in (((half * b) / b, half), (half - half, Z5.zero()), (b + -b, Z5.zero())):
+        assert value == expected and hash(value) == hash(expected)
+    assert (half - half).data == ((0, 0, 0, 0), 1)
+    # Every result is one integer vector over a positive denominator that
+    # shares no factor with it.
+    rng = random.Random(17)
+    x = b
+    for _ in range(200):
+        y = Z5.from_coords([Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(4)])
+        x = rng.choice((x + y, x - y, x * y, x / y if y else x))
+        coords, den = x.data
+        assert den > 0 and gcd(den, *coords) == 1
+        assert Z5.from_coords(x._coords()) == x
+
+
+@pytest.fixture(scope="module")
+def Z64():
+    return make_field(FieldDescriptor.cyclotomic(64))
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Z3", "Z5", "Z8", "Z64", "F3", "F7"])
 def test_field_axioms_random(field_name, request):
     field = request.getfixturevalue(field_name)
     rng = random.Random(hash(field_name) & 0xFFFF)
@@ -81,12 +118,15 @@ def test_field_axioms_random(field_name, request):
             return field.from_int(rng.randint(-30, 30))
         return field.from_fraction(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
 
-    for _ in range(1000):
+    # Q(zeta_64) (phi = 32) runs the longest reduction rows; its inverses
+    # cost 0.2-0.8 s each, so it gets fewer rounds.
+    rounds, inverses = (100, 5) if field_name == "Z64" else (1000, 200)
+    for _ in range(rounds):
         a, b, c = sample(), sample(), sample()
         assert (a + b) + c == a + (b + c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
-    for _ in range(200):
+    for _ in range(inverses):
         a = sample()
         if a.is_zero():
             continue
