@@ -449,7 +449,13 @@ def _primitive(polys: Sequence[Poly1]) -> Tuple[Poly1, ...]:
 
 
 def _finish_mobius(parts: Tuple[Poly1, Poly1, Poly1, Poly1], D: int) -> MobiusSolution:
-    return MobiusSolution("found", MobiusOverBase.from_polynomials(_primitive(parts)), D)
+    """The witness (alpha, beta, gamma, delta) in its canonical scaling:
+    primitive, with the first nonzero entry of (beta, alpha, delta, gamma)
+    monic."""
+    parts = _primitive(parts)
+    lead = next(p for p in (parts[1], parts[0], parts[3], parts[2]) if not p.is_zero())
+    inv = lead.lc().inverse()
+    return MobiusSolution("found", MobiusOverBase.from_polynomials([p.scale(inv) for p in parts]), D)
 
 
 def _graded_mobius_solve(x_t, sigma_x_t, psi_t, field, D) -> Optional[MobiusSolution]:
