@@ -46,7 +46,7 @@ def _global_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, help="seed for randomized certificates")
-    common.add_argument("--degree-bound", type=int, help="Moebius solver ansatz degree")
+    common.add_argument("--degree-bound", type=int, help="largest y-degree of a de Jonquieres witness")
     common.add_argument(
         "--precision-budget",
         type=int,

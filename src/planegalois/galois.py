@@ -33,7 +33,17 @@ from .maps import (
     PlaneRationalMap,
     proportional_eq,
 )
-from .polynomials import MultiPoly, NEG_INF, Poly1, RatFunc, RatFuncField, exact_div, poly_gcd
+from .polynomials import (
+    MultiPoly,
+    NEG_INF,
+    Poly1,
+    RatFunc,
+    RatFuncField,
+    clear_denominators,
+    exact_div,
+    poly_gcd,
+    pseudo_rem,
+)
 
 
 class ProjectionModel:
@@ -346,21 +356,19 @@ def parameter_data(
 
 
 class MobiusSolution:
-    """Result of mobius_solver: a witness or a NONE with its refutation status."""
+    """Result of mobius_solver: a witness, or NONE with its refutation status."""
 
-    __slots__ = ("status", "mobius", "bound", "details")
+    __slots__ = ("status", "mobius")
 
-    def __init__(self, status: str, mobius: Optional[MobiusOverBase], bound: int, details=None):
+    def __init__(self, status: str, mobius: Optional[MobiusOverBase] = None):
         self.status = status  # "found" | "none_up_to_bound" | "none_proven"
         self.mobius = mobius
-        self.bound = bound
-        self.details = details or {}
 
     def found(self) -> bool:
         return self.status == "found"
 
     def __repr__(self):
-        return f"MobiusSolution({self.status!r}, bound={self.bound})"
+        return f"MobiusSolution({self.status!r})"
 
 
 def mobius_solver(
@@ -370,50 +378,70 @@ def mobius_solver(
     field: Field,
     degree_bound: int,
 ) -> MobiusSolution:
-    """Search for alpha, beta, gamma, delta in k[y] of degree <= degree_bound
-    with sigma(x) = (alpha(y) x + beta(y)) / (gamma(y) x + delta(y)) as an
+    """Decide whether sigma(x) = (alpha(y) x + beta(y)) / (gamma(y) x + delta(y))
+    with alpha, beta, gamma, delta in k[y] of degree <= degree_bound, as an
     identity in k(t), y = psi(t).
 
-    When psi factors through a pure power map t -> t^n with a primitive n-th
-    root of unity in k, the graded solver decides the question completely;
-    it is the only source of a proven NONE.  Otherwise, or when its
-    least-degree solution lies above the bound, the identity is solved as a
-    linear system in the coefficients of the ansatz, and a member of the
-    nullspace with nonzero determinant is the witness; without one the
-    answer is NONE up to the bound.
+    With psi = p/q and n = max(deg p, deg q), k(t) = k(y)[T]/(m) for the
+    minimal polynomial m(T) = p(T) - y q(T) of t over k(y).  Pseudo-dividing
+    the products sd*xn, sd*xd, sn*xn and sn*xd by m, with one power of lc(m)
+    for all four, turns Gamma*sigma(x)*x + Delta*sigma(x) - A*x - B = 0 into
+    M v = 0 for an n x 4 matrix M over k[y] and v = (A, B, Gamma, Delta).
+
+    For n >= 3, 1, x and x^2 are independent over k(y), so nondegenerate
+    members of the kernel are proportional and the kernel is at most a line.
+    Rank 4 at the specialization y = 2 (rank only drops there) proves NONE,
+    and so does a kernel without a nondegenerate member.  Otherwise the
+    kernel's primitive vector is the least-degree witness: found when its
+    degree is at most the bound, NONE up to the bound above it.  For n <= 2
+    the kernel has dimension >= 2; the witness is the first nondegenerate
+    member of the k-kernel of M's coefficient system in the coefficients of
+    v of degree <= the bound, and without one the answer is NONE up to the
+    bound.
     """
-    D = degree_bound
-    graded = _graded_mobius_solve(x_t, sigma_x_t, psi_t, field, D)
-    if graded is not None:
-        return graded
     xn, xd = x_t.num, x_t.den
     sn, sd = sigma_x_t.num, sigma_x_t.den
     p, q = psi_t.num, psi_t.den
+    n = psi_t.degree_as_map()
+    products = [-(sd * xn), -(sd * xd), sn * xn, sn * xd]
+    width = max(n + 1, max(len(w.coeffs) for w in products))
+    m = [Poly1(field, [p[i], -q[i]]) for i in range(n + 1)]
+    reduced = [pseudo_rem([Poly1(field, [w[i]]) for i in range(width)], m) for w in products]
+    M = [[r[i] if i < len(r) else Poly1.zero(field) for r in reduced] for i in range(n)]
+    if n <= 2:
+        return _bounded_mobius(M, field, degree_bound)
+    y0 = field.from_int(2)
+    if not nullspace([[e.evaluate(y0) for e in row] for row in M], field, width=4):
+        return MobiusSolution("none_proven")
+    rows = [[RatFunc.from_poly(e) for e in row] for row in M]
+    kernel = nullspace(rows, RatFuncField(field), width=4)
+    members = _nondegenerate([clear_denominators(v) for v in kernel])
+    if not members:
+        return MobiusSolution("none_proven")
+    witness = _primitive(members[0])
+    if max(int(e.degree()) for e in witness if not e.is_zero()) > degree_bound:
+        return MobiusSolution("none_up_to_bound")
+    return _found(witness)
 
-    pq = []
-    for i in range(D + 1):
-        pq.append(p**i * q ** (D - i))
-    bases = [sd * xn, sd * xd, sn * xn, sn * xd]  # A, B, Gamma, Delta multipliers
-    signs = [-1, -1, 1, 1]
-    columns: List[Poly1] = []
-    for b_idx, base in enumerate(bases):
-        for i in range(D + 1):
-            col = base * pq[i]
-            columns.append(-col if signs[b_idx] < 0 else col)
-    height = max((len(c.coeffs) for c in columns), default=0)
-    rows = []
-    for r in range(height):
-        rows.append([c[r] for c in columns])
-    kernel = nullspace(rows, field, width=len(columns))
+
+def _bounded_mobius(M: List[List[Poly1]], field: Field, D: int) -> MobiusSolution:
+    """The first nondegenerate member of the k-kernel of M v = 0, in the
+    coefficients of the entries of v of degree <= D (entry j, y^i at column
+    j * (D + 1) + i)."""
+    height = max((len(e.coeffs) for row in M for e in row), default=0) + D
+    rows = [
+        [row[j][k - i] for j in range(4) for i in range(D + 1)]
+        for row in M
+        for k in range(height)
+    ]
+    kernel = nullspace(rows, field, width=4 * (D + 1))
     solutions = [
-        tuple(Poly1(field, vec[m * (D + 1) : (m + 1) * (D + 1)]) for m in range(4)) for vec in kernel
+        tuple(Poly1(field, vec[j * (D + 1) : (j + 1) * (D + 1)]) for j in range(4)) for vec in kernel
     ]
     members = _nondegenerate(solutions)
     if members:
-        return _finish_mobius(members[0], D)
-    return MobiusSolution(
-        "none_up_to_bound", None, D, {"nullspace_dimension": len(solutions)}
-    )
+        return _found(_primitive(members[0]))
+    return MobiusSolution("none_up_to_bound")
 
 
 def _nondegenerate(solutions: Sequence[Tuple[Poly1, Poly1, Poly1, Poly1]]) -> List[Tuple[Poly1, ...]]:
@@ -448,182 +476,12 @@ def _primitive(polys: Sequence[Poly1]) -> Tuple[Poly1, ...]:
     return tuple(p.exact_div(content) for p in polys)
 
 
-def _finish_mobius(parts: Tuple[Poly1, Poly1, Poly1, Poly1], D: int) -> MobiusSolution:
-    """The witness (alpha, beta, gamma, delta) in its canonical scaling:
-    primitive, with the first nonzero entry of (beta, alpha, delta, gamma)
-    monic."""
-    parts = _primitive(parts)
+def _found(parts: Tuple[Poly1, Poly1, Poly1, Poly1]) -> MobiusSolution:
+    """The primitive witness (alpha, beta, gamma, delta) in its canonical
+    scaling: the first nonzero entry of (beta, alpha, delta, gamma) monic."""
     lead = next(p for p in (parts[1], parts[0], parts[3], parts[2]) if not p.is_zero())
     inv = lead.lc().inverse()
-    return MobiusSolution("found", MobiusOverBase.from_polynomials([p.scale(inv) for p in parts]), D)
-
-
-def _graded_mobius_solve(x_t, sigma_x_t, psi_t, field, D) -> Optional[MobiusSolution]:
-    """Complete Moebius decision when the base map factors as a Moebius of a
-    pure power, psi = beta(t^n) with a primitive n-th root of unity in k.
-
-    k(t) = sum_k k(t^n) t^k splits the defining identity into one equation
-    per graded component, a 4-unknown linear system over the rational
-    function field k(s), s = t^n; solutions transform back through beta.
-    Returns None when the grading does not apply (then the caller runs the
-    polynomial ansatz); falls back likewise if a solution exists only above
-    the requested degree bound."""
-    n = psi_t.degree_as_map()
-    if n < 2:
-        return None
-    zeta = primitive_nth_root(field, n)
-    if zeta is None:
-        return None
-    twisted = RatFunc(_twist(psi_t.num, zeta, field), _twist(psi_t.den, zeta, field))
-    if twisted != psi_t:
-        return None  # psi does not factor through t -> t^n
-    beta = _factor_through_power(psi_t, n, field)
-    if beta is None:
-        return None
-    one = RatFunc.from_const(field, field.one())
-    w_list = [sigma_x_t * x_t, sigma_x_t, x_t, one]
-    components = []
-    for w in w_list:
-        comps = _graded_components(w, n, zeta, field)
-        if comps is None:
-            return None
-        components.append(comps)
-    ring = RatFuncField(field)
-    # unknown order (Gamma, Delta, A, B); signs make the identity
-    # Gamma*(sx*x) + Delta*sx - A*x - B = 0 read off directly.
-    rows = []
-    for k in range(n):
-        rows.append(
-            [components[0][k], components[1][k], -components[2][k], -components[3][k]]
-        )
-    kernel = nullspace(rows, ring, width=4)
-    beta_inv = beta.inverse()
-    reps = []
-    for vec in kernel:
-        gamma_p, delta_p, a_p, b_p = _clear_ratfunc_vector(
-            [_ratfunc_compose_mobius(r, beta_inv, field) for r in vec], field
-        )
-        reps.append((a_p, b_p, gamma_p, delta_p))
-    valid = _nondegenerate(reps)
-    if not valid:
-        return MobiusSolution(
-            "none_proven", None, D, {"method": "graded components", "nullspace_dimension": len(kernel)}
-        )
-    best = min(valid, key=lambda parts: max(int(x.degree()) for x in parts if not x.is_zero()))
-    top = max(int(x.degree()) for x in best if not x.is_zero())
-    if top <= D:
-        return _finish_mobius(best, D)
-    return None  # a solution exists above the bound: defer to the ansatz
-
-
-def _factor_through_power(psi: RatFunc, n: int, field: Field) -> Optional[LineMobius]:
-    """Moebius beta with psi(t) = beta(t^n), as a LineMobius on the s-line."""
-    P, Q = psi.num, psi.den
-    # a*s*Q + b*Q - c*s*P - d*P = 0 as polynomials in t, s = t^n.
-    s_shift_Q = Poly1(field, [field.zero()] * n + list(Q.coeffs))
-    s_shift_P = Poly1(field, [field.zero()] * n + list(P.coeffs))
-    columns = [s_shift_Q, Q, -s_shift_P, -P]
-    height = max(len(c.coeffs) for c in columns)
-    rows = [[c[r] for c in columns] for r in range(height)]
-    kernel = nullspace(rows, field, width=4)
-    for vec in kernel:
-        a, b, c, d = vec
-        if not (a * d - b * c).is_zero():
-            return LineMobius(field, ((a, b), (c, d)))
-    return None
-
-
-def _ratfunc_compose_mobius(r: RatFunc, m: LineMobius, field: Field) -> RatFunc:
-    """r(m(y)) for a Moebius m = (a y + b)/(c y + d)."""
-    (a, b), (c, d) = m.matrix
-    lin_num = Poly1(field, [b, a])
-    lin_den = Poly1(field, [d, c])
-    N = max(len(r.num.coeffs), len(r.den.coeffs)) - 1
-    if N < 0:
-        return r
-    num_pows = [lin_num**i for i in range(N + 1)]
-    den_pows = [lin_den**i for i in range(N + 1)]
-    new_num = Poly1.zero(field)
-    for i, coef in enumerate(r.num.coeffs):
-        if not coef.is_zero():
-            new_num = new_num + (num_pows[i] * den_pows[N - i]).scale(coef)
-    new_den = Poly1.zero(field)
-    for i, coef in enumerate(r.den.coeffs):
-        if not coef.is_zero():
-            new_den = new_den + (num_pows[i] * den_pows[N - i]).scale(coef)
-    return RatFunc(new_num, new_den)
-
-
-def _clear_ratfunc_vector(vec, field) -> Tuple[Poly1, Poly1, Poly1, Poly1]:
-    lcm = Poly1.one(field)
-    for r in vec:
-        g = lcm.gcd(r.den)
-        lcm = lcm * r.den.exact_div(g)
-    return _primitive([r.num * lcm.exact_div(r.den) for r in vec])
-
-
-def primitive_nth_root(field: Field, n: int) -> Optional[FieldElement]:
-    if n == 1:
-        return field.one()
-    if n == 2 and field.characteristic != 2:
-        return -field.one()
-    if field.kind == "cyclotomic":
-        m = field.descriptor.n
-        if m % n == 0:
-            return field.generator() ** (m // n)
-        return None
-    if field.kind == "prime":
-        p = field.descriptor.p
-        if (p - 1) % n != 0 or p > 10_000:
-            return None
-        for k in range(2, p):
-            candidate = field.from_int(k)
-            if _mult_order(candidate, n) == n:
-                return candidate
-        return None
-    return None
-
-
-def _mult_order(x: FieldElement, cap: int) -> Optional[int]:
-    acc = x
-    for k in range(1, cap + 1):
-        if acc.is_one():
-            return k
-        acc = acc * x
-    return None
-
-
-def _graded_components(h: RatFunc, n: int, zeta: FieldElement, field: Field) -> Optional[List[RatFunc]]:
-    """Split h(t) = sum_k h_k(t^n) t^k; components returned as functions of s."""
-    num, den = h.num, h.den
-    den_star = Poly1.one(field)
-    for j in range(1, n):
-        den_star = den_star * _twist(den, zeta**j, field)
-    big_den = den * den_star
-    for k, c in enumerate(big_den.coeffs):
-        if k % n != 0 and not c.is_zero():
-            return None
-    den_s = Poly1(field, [big_den[k] for k in range(0, len(big_den.coeffs), n)])
-    big_num = num * den_star
-    comps = []
-    for k in range(n):
-        coeffs = []
-        idx = k
-        while idx < len(big_num.coeffs) or not coeffs:
-            coeffs.append(big_num[idx])
-            idx += n
-        comps.append(RatFunc(Poly1(field, coeffs), den_s))
-    return comps
-
-
-def _twist(p: Poly1, factor: FieldElement, field: Field) -> Poly1:
-    """p(factor * t)."""
-    out = []
-    acc = field.one()
-    for c in p.coeffs:
-        out.append(c * acc)
-        acc = acc * factor
-    return Poly1(field, out)
+    return MobiusSolution("found", MobiusOverBase.from_polynomials([p.scale(inv) for p in parts]))
 
 
 def default_degree_bound(model: ProjectionModel) -> int:

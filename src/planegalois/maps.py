@@ -23,7 +23,7 @@ from .curves import (
 )
 from .fields import Field, FieldElement
 from .linalg import mat_det, mat_inv, mat_mul, mat_vec
-from .polynomials import MultiPoly, NEG_INF, Poly1, RatFunc, RatFuncField, exact_div, poly_gcd
+from .polynomials import MultiPoly, NEG_INF, Poly1, RatFunc, RatFuncField, clear_denominators, exact_div, poly_gcd
 
 
 class LineMobius:
@@ -130,12 +130,7 @@ class MobiusOverBase:
 
     def cleared(self) -> Tuple[Poly1, Poly1, Poly1, Poly1]:
         """Entries scaled by a common denominator into polynomials in y."""
-        alpha, beta, gamma, delta = self.entries
-        lcm = Poly1.one(self.ring)
-        for r in self.entries:
-            g = lcm.gcd(r.den)
-            lcm = lcm * r.den.exact_div(g)
-        return tuple(r.num * lcm.exact_div(r.den) for r in self.entries)
+        return clear_denominators(self.entries)
 
     def compose(self, other: "MobiusOverBase") -> "MobiusOverBase":
         """self after other."""

@@ -378,9 +378,11 @@ def _divmod_multi(f: MultiPoly, g: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
     )
 
 
-def _pseudo_rem(fc: list, gc: list) -> list:
-    """Pseudo-remainder prem(f, g) = lc(g)^(deg f - deg g + 1) * f mod g,
-    over any commutative coefficient ring (dense ascending lists)."""
+def pseudo_rem(fc: list, gc: list) -> list:
+    """Pseudo-remainder prem(f, g) = lc(g)^(len(fc) - deg g) * f mod g,
+    over any commutative coefficient ring (dense ascending lists).  The
+    power is read off the length of fc, so inputs zero-padded to one length
+    share it."""
     rem = list(fc)
     dg = len(gc) - 1
     lead_g = gc[-1]
@@ -421,7 +423,7 @@ def _subresultant(fc: list, gc: list, one):
         if (len(A) - 1) * (len(B) - 1) % 2:
             sign = -sign
         delta = len(A) - len(B)
-        R = _pseudo_rem(A, B)
+        R = pseudo_rem(A, B)
         if not R:
             break
         divisor = g if delta == 0 else g * _ring_pow(h, delta)
@@ -818,6 +820,14 @@ class RatFunc:
 
     def degree_as_map(self) -> int:
         return int(max(self.num.degree(), self.den.degree()))
+
+
+def clear_denominators(rats: Sequence[RatFunc]) -> Tuple[Poly1, ...]:
+    """The rational functions times the lcm of their denominators."""
+    lcm = Poly1.one(rats[0].num.ring)
+    for r in rats:
+        lcm = lcm * r.den.exact_div(lcm.gcd(r.den))
+    return tuple(r.num * lcm.exact_div(r.den) for r in rats)
 
 
 class RatFuncField:

@@ -250,6 +250,42 @@ def test_mobius_solver_defers_above_the_bound(Z3):
     assert max(int(r.num.degree()) for r in sol.mobius.entries if not r.is_zero()) <= 1
 
 
+def test_mobius_solver_proves_none_off_the_diagonal():
+    # quartic-i reparametrized by u -> u + v: the generator nu^-1 g nu is not
+    # diagonal and psi no longer factors through t -> t^4, yet sigma's
+    # refutation is proven and sigma^2 is still x -> -x
+    scenario = load_scenario("quartic-i")
+    field, P, g = scenario.field, scenario.point, scenario.generators[0]
+    nu = LineMobius(field, ((field.one(), field.one()), (field.zero(), field.one())))
+    phi = Parametrization([nu.substitute_into(f) for f in scenario.curve.param.forms])
+    h = nu.inverse().compose(g).compose(nu)
+    assert deck_verify(phi, P, h)
+    assert mobius_solver(*parameter_data(phi, P, h), field, 3).status == "none_proven"
+    x_t, sx_t, psi_t = parameter_data(phi, P, h.compose(h))
+    sol = mobius_solver(x_t, sx_t, psi_t, field, 3)
+    assert sol.found()
+    alpha, beta, gamma, delta = sol.mobius.entries
+    assert beta.is_zero() and gamma.is_zero() and alpha == -delta
+    _assert_congruence(sol.mobius, x_t, sx_t, psi_t, field)
+
+
+def test_mobius_solver_degree_bound_on_a_double_cover(Q):
+    # phi = (u^2 + uv + 2v^2, u^2, v^2) from [1:0:0] is the double cover
+    # y = t^2, and u -> -u maps x = y + 2 + t to -x + 2y + 4: its least
+    # witness has degree 1, so the bound D means degree <= D
+    phi = Parametrization([parse_poly(f, Q, PARAM_VARS) for f in ("u^2 + u*v + 2*v^2", "u^2", "v^2")])
+    P = ProjPoint.from_ints(Q, (1, 0, 0))
+    g = LineMobius.diagonal(Q, -Q.one(), Q.one())
+    assert deck_verify(phi, P, g)
+    x_t, sx_t, psi_t = parameter_data(phi, P, g)
+    assert psi_t.degree_as_map() == 2
+    assert mobius_solver(x_t, sx_t, psi_t, Q, 0).status == "none_up_to_bound"
+    sol = mobius_solver(x_t, sx_t, psi_t, Q, 1)
+    assert sol.found()
+    assert max(int(r.num.degree()) for r in sol.mobius.entries if not r.is_zero()) <= 1
+    _assert_congruence(sol.mobius, x_t, sx_t, psi_t, Q)
+
+
 @pytest.mark.parametrize("p", [0, 2])
 def test_nondegenerate_members(p):
     from planegalois.fields import FieldDescriptor, make_field
@@ -294,16 +330,22 @@ def test_mobius_solutions_satisfy_congruence(Z3, F3):
         alpha, beta, gamma, delta = sol.mobius.entries
         det = alpha * delta - beta * gamma
         assert not det.is_zero()
+        _assert_congruence(sol.mobius, x_t, sx_t, psi_t, field)
 
-        def compose_y(r):
-            # r(psi(t)) as a RatFunc in t
-            num = _eval_poly_at_ratfunc(r.num, psi_t, field)
-            den = _eval_poly_at_ratfunc(r.den, psi_t, field)
-            return num / den
 
-        lhs = sx_t * (compose_y(gamma) * x_t + compose_y(delta))
-        rhs = compose_y(alpha) * x_t + compose_y(beta)
-        assert lhs == rhs
+def _assert_congruence(mob, x_t, sx_t, psi_t, field):
+    """sigma(x)*(gamma x + delta) = alpha x + beta in k(t), y = psi(t)."""
+    alpha, beta, gamma, delta = mob.entries
+
+    def compose_y(r):
+        # r(psi(t)) as a RatFunc in t
+        num = _eval_poly_at_ratfunc(r.num, psi_t, field)
+        den = _eval_poly_at_ratfunc(r.den, psi_t, field)
+        return num / den
+
+    lhs = sx_t * (compose_y(gamma) * x_t + compose_y(delta))
+    rhs = compose_y(alpha) * x_t + compose_y(beta)
+    assert lhs == rhs
 
 
 def _eval_poly_at_ratfunc(p, psi, field):
