@@ -390,14 +390,14 @@ def mobius_solver(
 
     For n >= 3, 1, x and x^2 are independent over k(y), so nondegenerate
     members of the kernel are proportional and the kernel is at most a line.
-    Rank 4 at the specialization y = 2 (rank only drops there) proves NONE,
-    and so does a kernel without a nondegenerate member.  Otherwise the
-    kernel's primitive vector is the least-degree witness: found when its
-    degree is at most the bound, NONE up to the bound above it.  For n <= 2
-    the kernel has dimension >= 2; the witness is the first nondegenerate
-    member of the k-kernel of M's coefficient system in the coefficients of
-    v of degree <= the bound, and without one the answer is NONE up to the
-    bound.
+    Rank 4 at the specialization y = 2 proves NONE, because specializing
+    can only lower the rank, and so does a kernel without a nondegenerate
+    member.  Otherwise the kernel's primitive vector is the least-degree
+    witness: found when its degree is at most the bound, NONE up to the
+    bound above it.  For n <= 2 the kernel has dimension >= 2; the witness
+    is the first nondegenerate member of the k-kernel of M's coefficient
+    system in the coefficients of v of degree <= the bound, and without one
+    the answer is NONE up to the bound.
     """
     xn, xd = x_t.num, x_t.den
     sn, sd = sigma_x_t.num, sigma_x_t.den
