@@ -1,6 +1,7 @@
 """Projective plane curves: implicit forms, rational parametrizations,
-point multiplicities by two independent methods, implicitization by
-sampled moving-line resultants, and certified multiplicity-bound searches.
+point multiplicities by two independent methods, implicitization as the
+kernel of the coefficient matrix of F o phi, and certified
+multiplicity-bound searches.
 """
 
 from __future__ import annotations
@@ -9,15 +10,9 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .fields import Field, FieldElement, UNDETERMINED, Undetermined
-from .linalg import mat_vec, solve_affine
-from .polynomials import (
-    MultiPoly,
-    NEG_INF,
-    Poly1,
-    exact_div,
-    poly_gcd,
-    sylvester_det,
-)
+from .linalg import mat_vec, nullspace
+from .polynomials import MultiPoly, NEG_INF, Poly1, exact_div, poly_gcd
+from .polynomials import sylvester_det  # noqa: F401  unused; bench/tests/test_bench.py pins curves.sylvester_det
 
 CURVE_VARS = ("X", "Y", "Z")
 PARAM_VARS = ("u", "v")
@@ -234,16 +229,19 @@ def curve_from_parametrization(
 
 
 class ImplicitizationError(RuntimeError):
-    """Interpolation rank failure: reported, never guessed around."""
+    """The kernel of F o phi did not yield a vanishing form: reported, never guessed around."""
 
 
 def implicitize(phi: Parametrization) -> MultiPoly:
     """Implicit homogeneous form of the image of a parametrization.
 
-    The moving-line resultant Res_(u,v)(X*f3 - Z*f1, Y*f3 - Z*f2) is sampled
-    at affine points (Z = 1) and the curve's coefficients are recovered by an
-    exact linear solve; the Sylvester determinant is never expanded
-    symbolically.  The result is verified against the parametrization.
+    The coefficients of a form F of degree d with F o phi = 0 span the kernel
+    of the matrix whose columns are the coefficients of the products
+    phi1^a phi2^b phi3^c, a + b + c = d (Corless, Giesbrecht, Kotsireas and
+    Watt, AISC 2000).  The image has degree d | e = deg phi and is the first
+    such d with a nonzero kernel; there the kernel is spanned by the image's
+    equation G, and G^(e/d) is returned, so a k:1 cover keeps degree e.  The
+    result is verified against the parametrization.
     """
     field = phi.field
     f1, f2, f3 = phi.forms
@@ -253,68 +251,25 @@ def implicitize(phi: Parametrization) -> MultiPoly:
         if form.is_zero():
             return MultiPoly.variable(field, CURVE_VARS, line_var)
 
-    monomials = [(a, b) for total in range(e + 1) for a in range(total + 1) for b in (total - a,)]
-    monomials = [(a, b) for (a, b) in monomials if a + b <= e]
-    unknowns = len(monomials)
-    sample_count = unknowns + 8
-
-    coeff_lists = [_binary_dense(f, e) for f in (f1, f2, f3)]
-    rows = []
-    rhs = []
-    for x_val, y_val in _sample_pairs(field, sample_count):
-        a_list = [x_val * c3 - c1 for c1, c3 in zip(coeff_lists[0], coeff_lists[2])]
-        b_list = [y_val * c3 - c2 for c2, c3 in zip(coeff_lists[1], coeff_lists[2])]
-        value = sylvester_det(a_list, b_list, field)
-        rows.append([x_val**a * y_val**b for (a, b) in monomials])
-        rhs.append(value)
-    solved = solve_affine(rows, rhs, field)
-    if solved is None:
-        raise ImplicitizationError("interpolation produced an inconsistent system")
-    particular, kernel = solved
-    if kernel:
-        raise ImplicitizationError("interpolation rank failure: coefficients not unique")
-    terms = {}
-    for (a, b), c in zip(monomials, particular):
-        if not c.is_zero():
-            terms[(a, b, e - a - b)] = c
-    F = MultiPoly(field, CURVE_VARS, terms)
-    if F.is_zero():
-        raise ImplicitizationError("interpolation produced the zero form")
-    F = F.monic()
-    pullback = F.substitute({"X": f1, "Y": f2, "Z": f3})
-    if not pullback.is_zero():
+    powers = []
+    for f in phi.forms:
+        g = Poly1(field, [f.coefficient((j, e - j)) for j in range(e + 1)])
+        chain = [Poly1.one(field)]
+        for _ in range(e):
+            chain.append(chain[-1] * g)
+        powers.append(chain)
+    for d in (k for k in range(1, e + 1) if e % k == 0):
+        monomials = [(a, b, d - a - b) for a in range(d + 1) for b in range(d - a + 1)]
+        columns = [powers[0][a] * powers[1][b] * powers[2][c] for a, b, c in monomials]
+        kernel = nullspace([[col[j] for col in columns] for j in range(d * e + 1)], field)
+        if kernel:
+            break
+    if len(kernel) != 1:
+        raise ImplicitizationError(f"kernel of F o phi has dimension {len(kernel)} in degree {d}")
+    G = MultiPoly(field, CURVE_VARS, {m: c for m, c in zip(monomials, kernel[0]) if not c.is_zero()})
+    if not G.substitute({"X": f1, "Y": f2, "Z": f3}).is_zero():
         raise ImplicitizationError("computed form does not vanish on the parametrization")
-    return F
-
-
-def _binary_dense(f: MultiPoly, degree: int) -> List[FieldElement]:
-    """Coefficients [c_0, ..., c_degree] of f = sum c_j u^j v^(degree-j)."""
-    zero = f.field.zero()
-    out = [zero] * (degree + 1)
-    for e, c in f.terms.items():
-        out[e[0]] = c
-    return out
-
-
-def _sample_pairs(field: Field, count: int):
-    """Deterministic affine sample points avoiding tiny-field collisions."""
-    p = field.characteristic
-    if p and p * p < count:
-        raise ValueError(f"field F{p} too small for {count} interpolation samples")
-    rng = random.Random(20240601)
-    seen = set()
-    produced = 0
-    while produced < count:
-        x = rng.randint(-3 * count, 3 * count)
-        y = rng.randint(-3 * count, 3 * count)
-        if p:
-            x %= p
-            y %= p
-        if (x, y) in seen:
-            continue
-        seen.add((x, y))
-        produced += 1
-        yield field.from_int(x), field.from_int(y)
+    return (G ** (e // d)).monic()
 
 
 # -- multiplicities -----------------------------------------------------------

@@ -152,7 +152,7 @@ def test_criterion_4_quintic_scenario():
     assert report["extendable_elements"] == ["identity"]
 
     # both multiplicity methods at the center; the implicit route runs
-    # through interpolation-implicitization
+    # through the linear-algebra implicitization
     assert multiplicity_implicit(scenario.curve, P) == 2
     assert multiplicity_param(phi, P, trials=5, seed=0) == 2
 

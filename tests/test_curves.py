@@ -17,7 +17,7 @@ from planegalois.curves import (
 )
 from planegalois.linalg import mat_det, mat_vec
 from planegalois.parsing import parse_poly
-from planegalois.polynomials import MultiPoly
+from planegalois.polynomials import MultiPoly, resultant
 
 QUARTIC = "X^4 - 4*Z*Y*X^2 - Z*Y^3 + 2*Z^2*Y^2 - Y*Z^3"
 CUBIC = "X^3 - 3*X*Y*Z - Y^2*Z - Y*Z^2"
@@ -123,6 +123,57 @@ def test_implicitize_verifies_by_substitution(Z5):
     assert F.degree() == 7
     pullback = F.substitute({v: f for v, f in zip(CURVE_VARS, phi.forms)})
     assert pullback.is_zero()
+
+
+def _random_form(field, rng, degree):
+    """Binary form of the given degree with a nonzero u^degree coefficient."""
+    terms = {(j, degree - j): field.from_int(rng.randint(-3, 3)) for j in range(degree)}
+    terms[(degree, 0)] = field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return MultiPoly(field, PARAM_VARS, {e: c for e, c in terms.items() if not c.is_zero()})
+
+
+def _moving_line_resultant(phi):
+    """Res_u(X*f3 - Z*f1, Y*f3 - Z*f2) of the forms dehomogenized at v = 1."""
+    V = CURVE_VARS + ("u",)
+    f1, f2, f3 = (
+        MultiPoly(f.field, V, {(0, 0, 0, e[0]): c for e, c in f.terms.items()}) for f in phi.forms
+    )
+    X, Y, Z = (MultiPoly.variable(phi.field, V, v) for v in CURVE_VARS)
+    return resultant(X * f3 - Z * f1, Y * f3 - Z * f2, "u").monic()
+
+
+@pytest.mark.parametrize("name", ["Q", "Z3", "F7", "F3"])
+def test_implicitize_matches_symbolic_resultant(name, request):
+    # Seeded oracle: psi o h with psi of degree m and (h1, h2) of degree k is
+    # birational for k = 1 and a k:1 cover otherwise, so the implicit form is
+    # G^k; the moving-line resultant of Sederberg and Chen gives Z^e * G^k.
+    field = request.getfixturevalue(name)
+    rng = random.Random(f"implicitize-{name}")
+    shapes = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (1, 2), (1, 3), (5, 1), (2, 1)]
+    checked = 0
+    for m, k in shapes:
+        while True:
+            psi = [_random_form(field, rng, m) for _ in range(3)]
+            h = {"u": _random_form(field, rng, k), "v": _random_form(field, rng, k)}
+            try:
+                phi = Parametrization([g.substitute(h) for g in psi])
+            except ValueError:
+                continue
+            if all(not f.coefficient((phi.degree, 0)).is_zero() for f in phi.forms):
+                break
+        e = phi.degree
+        Ze = MultiPoly.variable(field, CURVE_VARS, "Z") ** e
+        F = implicitize(phi)
+        assert (F * Ze).align(CURVE_VARS + ("u",)) == _moving_line_resultant(phi)
+        checked += 1
+    assert checked == len(shapes)
+
+
+def test_implicitize_cover_is_a_power(Q):
+    # (u^4, v^4, u^2 v^2) is 2:1 onto the conic X*Y = Z^2
+    phi = Parametrization([parse_poly(t, Q, PARAM_VARS) for t in ("u^4", "v^4", "u^2*v^2")])
+    assert phi.degree == 4
+    assert implicitize(phi) == parse_poly("X^2*Y^2 - 2*X*Y*Z^2 + Z^4", Q, CURVE_VARS)
 
 
 def test_multiplicity_implicit_examples(Q):
@@ -234,8 +285,8 @@ def test_has_point_characteristic_guard(F3):
 
 
 def test_implicitize_rank_failure_reported(Q):
-    # a 2:1 cover of a line: the fit returns the squared linear form, which
-    # is a legitimate irreducible power, so this should succeed...
+    # a 2:1 cover of the line X = 0: the zero component pins the line, and
+    # the shortcut returns X itself, not its square
     phi = Parametrization(
         [
             MultiPoly.zero(Q, PARAM_VARS),

@@ -149,6 +149,29 @@ def test_verify_conic_over_f2():
     assert witness[1]["plane_map"] == ["Y^2", "X*Y", "X*Z"]
 
 
+def test_param_only_f3_cubic_verifies(capsys):
+    # implicitizing over F_3 needs no sample points: the built-in cubic-char3
+    # given by its parametrization alone verifies like the built-in
+    path = _tmpfile(
+        {
+            "field": {"kind": "prime", "p": 3},
+            "curve": {"param": ["v^3", "u^3", "u^2*v - v^3"]},
+            "point": ["1", "0", "0"],
+            "generators": [[["1", "0"], ["1", "1"]]],
+        }
+    )
+    try:
+        assert run_command(["curve", "info", path, "--json"]) == EXIT_OK
+        info = json.loads(capsys.readouterr().out)
+        assert run_command(["verify", path, "--json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+    finally:
+        os.unlink(path)
+    assert info["implicit"] == "X^3 + 2*X*Y^2 + Z^3"
+    assert report["galois"] is True and report["group_order"] == 3
+    assert [e["verdict"] for e in report["extensions"]] == ["jonquieres"] * 3
+
+
 def test_cli_conic_galois_test_subprocess():
     path = _tmpfile(CONIC_FILE)
     try:
