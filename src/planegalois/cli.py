@@ -24,6 +24,7 @@ from .scenarios import (
     point_from_json,
     run_scenario,
     scenario_from_json,
+    _matrix_text,
     _witness_json,
 )
 
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cremona = sub.add_parser("cremona", help="reduction toward lines")
     cremona_sub = cremona.add_subparsers(dest="subcommand")
-    reduce_p = cremona_sub.add_parser("reduce", help="pairing arithmetic and chain replay", parents=[common])
+    reduce_p = cremona_sub.add_parser("reduce", help="pairing arithmetic and chain stages", parents=[common])
     reduce_p.add_argument("file")
 
     verify = sub.add_parser("verify", help="run a built-in or file scenario", parents=[common])
@@ -251,7 +252,7 @@ def _cmd_galois_extend(args) -> int:
         "group_order": len(certificate.group),
         "extensions": [
             {
-                "element": [[str(x) for x in row] for row in r.element.matrix],
+                "element": _matrix_text(r.element.matrix),
                 "verdict": r.verdict,
                 "proven": r.proven,
                 **({"witness": _witness_json(r.witness)} if r.witness is not None else {}),
@@ -276,7 +277,6 @@ def _cmd_cremona_reduce(args) -> int:
     if scenario.chain_steps:
         chain = ReductionChain(C, scenario.chain_steps)
         report["chain_stages"] = [render_poly(s.implicit.monic()) for s in chain.stages[1:]]
-        report["chain_replay"] = chain.replay()
         for step, stage in zip(chain.steps, chain.stages):
             if step.kind == "std_quadratic_at":
                 mults = [multiplicity_implicit(stage, p) for p in step.points]

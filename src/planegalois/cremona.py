@@ -138,8 +138,9 @@ def inverse_step_map(step: ChainStep, field: Field) -> PlaneRationalMap:
 
 
 class ReductionChain:
-    """Ordered reduction steps applied to a start curve, with every
-    intermediate image recorded; replaying the steps is the invariant."""
+    """Ordered reduction steps applied once to a start curve, with every
+    intermediate image recorded in stages (stages[0] is the start curve,
+    stages[-1] the end)."""
 
     __slots__ = ("start", "steps", "stages", "end")
 
@@ -153,14 +154,6 @@ class ReductionChain:
         self.steps = tuple(steps)
         self.stages = tuple(stages)
         self.end = current
-
-    def replay(self) -> bool:
-        current = self.start
-        for step, expected in zip(self.steps, self.stages[1:]):
-            current = apply_step(current, step)
-            if current.implicit.monic() != expected.implicit.monic():
-                return False
-        return True
 
     def forward_map(self) -> PlaneRationalMap:
         field = self.start.field

@@ -99,11 +99,6 @@ class Parametrization:
         point = {"u": u0, "v": v0}
         return ProjPoint(self.field, [f.evaluate(point) for f in self.forms])
 
-    def substituted(self, u_image: MultiPoly, v_image: MultiPoly) -> "Parametrization":
-        return Parametrization(
-            [f.substitute({"u": u_image, "v": v_image}) for f in self.forms]
-        )
-
     def __eq__(self, other):
         return isinstance(other, Parametrization) and self.forms == other.forms
 
@@ -141,25 +136,14 @@ def parametrization_from_affine(components: Sequence[MultiPoly]) -> Parametrizat
 class PlaneCurve:
     """Plane projective curve with an implicit form and/or a parametrization."""
 
-    __slots__ = (
-        "field", "_implicit", "irreducible_trusted", "param", "birational_trusted", "_mult_cache", "_bound_cache"
-    )
+    __slots__ = ("field", "_implicit", "param", "_mult_cache", "_bound_cache")
 
-    def __init__(
-        self,
-        field: Field,
-        implicit: Optional[MultiPoly],
-        param: Optional[Parametrization],
-        irreducible_trusted: bool = True,
-        birational_trusted: bool = True,
-    ):
+    def __init__(self, field: Field, implicit: Optional[MultiPoly], param: Optional[Parametrization]):
         if implicit is None and param is None:
             raise ValueError("a curve needs an implicit form or a parametrization")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_implicit", implicit)
         object.__setattr__(self, "param", param)
-        object.__setattr__(self, "irreducible_trusted", irreducible_trusted)
-        object.__setattr__(self, "birational_trusted", birational_trusted)
         object.__setattr__(self, "_mult_cache", {})
         object.__setattr__(self, "_bound_cache", {})
 
@@ -201,28 +185,18 @@ class PlaneCurve:
         return f"PlaneCurve(param={self.param!r})"
 
 
-def curve_from_implicit(F: MultiPoly, irreducible_trusted: bool = True) -> PlaneCurve:
+def curve_from_implicit(F: MultiPoly) -> PlaneCurve:
     if F.is_zero():
         raise ValueError("the zero polynomial does not define a curve")
     if not F.is_homogeneous():
         raise ValueError("implicit form must be homogeneous")
     F = F.align(CURVE_VARS) if F.vars != CURVE_VARS else F
-    return PlaneCurve(F.field, F.monic(), None, irreducible_trusted=irreducible_trusted)
+    return PlaneCurve(F.field, F.monic(), None)
 
 
-def curve_from_parametrization(
-    forms: Union[Parametrization, Sequence[MultiPoly]],
-    irreducible_trusted: bool = True,
-    birational_trusted: bool = True,
-) -> PlaneCurve:
+def curve_from_parametrization(forms: Union[Parametrization, Sequence[MultiPoly]]) -> PlaneCurve:
     phi = forms if isinstance(forms, Parametrization) else Parametrization(forms)
-    return PlaneCurve(
-        phi.field,
-        None,
-        phi,
-        irreducible_trusted=irreducible_trusted,
-        birational_trusted=birational_trusted,
-    )
+    return PlaneCurve(phi.field, None, phi)
 
 
 # -- implicitization ----------------------------------------------------------
@@ -473,10 +447,7 @@ def _resultant_certificate(C, H, M, m, seed, attempt):
         return None
     candidates, _complete = _binary_form_roots(common)
     for x0, y0 in candidates:
-        slices = [
-            _z_slice(h, x0, y0)
-            for h in H
-        ]
+        slices = [h.substitute({"X": x0, "Y": y0}).to_poly1("Z") for h in H]
         gz = None
         for s in slices:
             gz = s if gz is None else gz.gcd(s)
@@ -500,21 +471,6 @@ def _resultant_certificate(C, H, M, m, seed, attempt):
                 certificate={"note": "common zero exists over an extension field"},
             )
     return None
-
-
-def _z_slice(h: MultiPoly, x0: FieldElement, y0: FieldElement) -> Poly1:
-    field = h.field
-    coeffs: Dict[int, FieldElement] = {}
-    for e, c in h.terms.items():
-        k = e[2]
-        val = c
-        if e[0]:
-            val = val * x0 ** e[0]
-        if e[1]:
-            val = val * y0 ** e[1]
-        coeffs[k] = coeffs.get(k, field.zero()) + val
-    top = max(coeffs) if coeffs else 0
-    return Poly1(field, [coeffs.get(k, field.zero()) for k in range(top + 1)])
 
 
 def _order_partials(F: MultiPoly, order: int) -> List[MultiPoly]:
@@ -564,12 +520,7 @@ def _binary_form_roots(B: MultiPoly) -> Tuple[List[Tuple[FieldElement, FieldElem
     # Root at [1:0] iff Y divides ... iff B(1, 0) == 0.
     if B.evaluate({"X": one, "Y": zero}).is_zero():
         roots.append((one, zero))
-    dense: Dict[int, FieldElement] = {}
-    for e, c in B.terms.items():
-        dense[e[0]] = c
-    top = max(dense) if dense else 0
-    g = Poly1(field, [dense.get(k, zero) for k in range(top + 1)])
-    t_roots, complete = _poly1_roots(g)
+    t_roots, complete = _poly1_roots(B.dehomogenize("Y").to_poly1("X"))
     for r in t_roots:
         roots.append((r, one))
     return roots, complete
@@ -672,12 +623,11 @@ def _divisors(n: int, bound: int = 10**6) -> Tuple[List[int], bool]:
         p += 1 if p == 2 else 2
     complete = True
     if m > 1:
-        from .fields import is_prime
+        # Trial division up to bound leaves a cofactor m <= bound**2 prime.
+        factors[m] = factors.get(m, 0) + 1
+        if m > bound * bound:
+            from .fields import is_prime
 
-        if m <= bound * bound and is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            factors[m] = factors.get(m, 0) + 1
             complete = is_prime(m) if m < 2**63 else False
     divs = [1]
     for prime, mult in factors.items():

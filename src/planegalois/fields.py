@@ -301,9 +301,6 @@ class FieldElement:
             return not any(self.data[0])
         return self.data == 0
 
-    def is_one(self) -> bool:
-        return self == self.field.one()
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -505,12 +502,14 @@ def _frac_poly_sub(a: list, b: list) -> list:
     ]
 
 
+_SQRT_MAX_DEGREE = 16  # largest phi(n) the square-root search attempts
+
+
 @dataclass(frozen=True)
 class SqrtBudget:
     """Limits for the numeric-reconstruct-verify square-root search."""
 
     max_denominator: int = 10**9
-    max_degree: int = 16  # largest phi(n) attempted
 
 
 def sqrt_in_field(
@@ -539,7 +538,7 @@ def sqrt_in_field(
         return None
 
     phi = field.phi
-    if phi > budget.max_degree:
+    if phi > _SQRT_MAX_DEGREE:
         return UNDETERMINED
     n = field.descriptor.n
     units = [k for k in range(1, n) if gcd(k, n) == 1]

@@ -11,7 +11,7 @@ Jonquieres extensions, and solves or refutes linear extensions to the plane.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .curves import (
     CURVE_VARS,
@@ -54,40 +54,22 @@ class ProjectionModel:
     is deg(C) - m_P.
     """
 
-    __slots__ = ("curve", "center", "fiber_poly", "ext_degree", "chart", "multiplicity")
+    __slots__ = ("center", "fiber_poly", "ext_degree", "multiplicity")
 
-    def __init__(self, curve: PlaneCurve, center: ProjPoint, fiber_poly: MultiPoly, ext_degree: int, chart, multiplicity: int):
-        self.curve = curve
+    def __init__(self, center: ProjPoint, fiber_poly: MultiPoly, ext_degree: int, multiplicity: int):
         self.center = center
         self.fiber_poly = fiber_poly
         self.ext_degree = ext_degree
-        self.chart = chart  # matrix T with T([1:0:0]) = center
         self.multiplicity = multiplicity
-
-    def x_coefficients(self) -> Dict[int, Poly1]:
-        """Fiber polynomial arranged by x-powers, coefficients in k[y]."""
-        field = self.fiber_poly.field
-        out: Dict[int, Dict[int, FieldElement]] = {}
-        for e, c in self.fiber_poly.terms.items():
-            out.setdefault(e[0], {})[e[1]] = c
-        result = {}
-        for k, coeffs in out.items():
-            top = max(coeffs)
-            result[k] = Poly1(field, [coeffs.get(j, field.zero()) for j in range(top + 1)])
-        return result
 
     def monic_coefficients(self) -> List[RatFunc]:
         """Coefficients [c_0, ..., c_(n-1)] of the monic fiber polynomial
         over k(y); the leading coefficient is divided out."""
         n = self.ext_degree
-        coeffs = self.x_coefficients()
-        lead = RatFunc.from_poly(coeffs[n])
-        out = []
-        zero_poly = Poly1(self.fiber_poly.field, [])
-        for k in range(n):
-            num = coeffs.get(k, zero_poly)
-            out.append(RatFunc.from_poly(num) / lead)
-        return out
+        by_power = self.fiber_poly.univariate_coefficients("X")
+        zero = MultiPoly.zero(self.fiber_poly.field, self.fiber_poly.vars)
+        coeffs = [RatFunc.from_poly(by_power.get(k, zero).to_poly1("Y")) for k in range(n + 1)]
+        return [c / coeffs[n] for c in coeffs[:n]]
 
     def __repr__(self):
         return (
@@ -98,19 +80,15 @@ class ProjectionModel:
 
 def projection_model(C: PlaneCurve, P: ProjPoint) -> ProjectionModel:
     """Model of k(C)/K_P; fails when C is a line through P."""
-    if not C.irreducible_trusted:
-        raise ValueError("projection model needs an irreducibility-trusted curve")
     m = multiplicity_implicit(C, P)
     d = C.degree
     n = d - m
     if n == 0:
         raise ValueError("C is a line through P: the projection degenerates")
-    T = move_point_first(P)
-    moved = substitute_matrix(C.implicit, T)
-    fiber = moved.dehomogenize("Z")
+    fiber = substitute_matrix(C.implicit, move_point_first(P)).dehomogenize("Z")
     if fiber.degree_in("X") != n:
         raise ValueError("fiber polynomial has unexpected x-degree; chart degenerated")
-    return ProjectionModel(C, P, fiber, n, T, m)
+    return ProjectionModel(P, fiber, n, m)
 
 
 # -- deck transformations ------------------------------------------------------
@@ -119,12 +97,11 @@ def projection_model(C: PlaneCurve, P: ProjPoint) -> ProjectionModel:
 class GaloisCertificate:
     """Outcome of a Galois decision: degree, verdict, and verified deck data."""
 
-    __slots__ = ("degree", "verdict", "generators", "group", "method", "details")
+    __slots__ = ("degree", "verdict", "group", "method", "details")
 
-    def __init__(self, degree, verdict, generators=(), group=(), method="", details=None):
+    def __init__(self, degree, verdict, group=(), method="", details=None):
         self.degree = degree
         self.verdict = verdict  # "galois" | "not_galois" | "undetermined"
-        self.generators = tuple(generators)
         self.group = tuple(group)
         self.method = method
         self.details = details or {}
@@ -184,24 +161,16 @@ def deck_group_from_candidates(
                     group.add(gh)
                     changed = True
     if len(group) > cap:
-        return GaloisCertificate(n, "undetermined", verified, (), "deck closure exceeded cap")
+        return GaloisCertificate(n, "undetermined", (), "deck closure exceeded cap")
     order = len(group)
+    elements = sorted(group, key=_mobius_sort_key)
     if order == n:
-        return GaloisCertificate(
-            n, "galois", verified, sorted(group, key=_mobius_sort_key), "verified deck group",
-            {"order": order},
-        )
+        return GaloisCertificate(n, "galois", elements, "verified deck group")
     if order > n:
         return GaloisCertificate(
-            n, "not_galois", verified, sorted(group, key=_mobius_sort_key),
-            "deck group larger than the covering degree (inseparable or invalid input)",
-            {"order": order},
+            n, "not_galois", elements, "deck group larger than the covering degree (inseparable or invalid input)"
         )
-    return GaloisCertificate(
-        n, "undetermined", verified, sorted(group, key=_mobius_sort_key),
-        "verified deck group too small",
-        {"order": order},
-    )
+    return GaloisCertificate(n, "undetermined", elements, "verified deck group too small")
 
 
 def _mobius_sort_key(g: LineMobius):
@@ -486,9 +455,7 @@ def _found(parts: Tuple[Poly1, Poly1, Poly1, Poly1]) -> MobiusSolution:
 
 def default_degree_bound(model: ProjectionModel) -> int:
     """Spec default: max y-degree of the fiber coefficients plus 2."""
-    coeffs = model.x_coefficients()
-    top = max(int(c.degree()) for c in coeffs.values() if not c.is_zero())
-    return top + 2
+    return max(int(c.degree_in("Y")) for c in model.fiber_poly.univariate_coefficients("X").values()) + 2
 
 
 # -- Lemma 3.1 normal form -----------------------------------------------------
@@ -567,10 +534,7 @@ def jonquieres_builder(mob: MobiusOverBase, P: ProjPoint, field: Field) -> Plane
     coordinate by the given Moebius transformation."""
     A, B, Cc, Dd = mob.cleared()
     M = max(int(x.degree()) for x in (A, B, Cc, Dd) if not x.is_zero())
-    Ah = _homog_y(A, M, field)
-    Bh = _homog_y(B, M, field)
-    Ch = _homog_y(Cc, M, field)
-    Dh = _homog_y(Dd, M, field)
+    Ah, Bh, Ch, Dh = (p.to_multipoly(field, CURVE_VARS, "Y").homogenize("Z", M) for p in (A, B, Cc, Dd))
     X = MultiPoly.variable(field, CURVE_VARS, "X")
     Y = MultiPoly.variable(field, CURVE_VARS, "Y")
     Z = MultiPoly.variable(field, CURVE_VARS, "Z")
@@ -582,14 +546,6 @@ def jonquieres_builder(mob: MobiusOverBase, P: ProjPoint, field: Field) -> Plane
     as_map = PlaneRationalMap.from_matrix(field, T)
     back = PlaneRationalMap.from_matrix(field, T_inv)
     return as_map.compose(J_std).compose(back)
-
-
-def _homog_y(p: Poly1, degree: int, field: Field) -> MultiPoly:
-    terms = {}
-    for k, c in enumerate(p.coeffs):
-        if not c.is_zero():
-            terms[(0, k, degree - k)] = c
-    return MultiPoly(field, CURVE_VARS, terms)
 
 
 # -- linear extensions ---------------------------------------------------------

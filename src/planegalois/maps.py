@@ -9,7 +9,7 @@ involution [X:Y:Z] -> [YZ:XZ:XY]; general Cremona images are out of scope.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .curves import (
     CURVE_VARS,
@@ -55,10 +55,6 @@ class LineMobius:
     def diagonal(field: Field, a: FieldElement, d: FieldElement) -> "LineMobius":
         zero = field.zero()
         return LineMobius(field, ((a, zero), (zero, d)))
-
-    def det(self) -> FieldElement:
-        (a, b), (c, d) = self.matrix
-        return a * d - b * c
 
     def compose(self, other: "LineMobius") -> "LineMobius":
         """self after other."""
@@ -285,21 +281,17 @@ def proportional_eq(fs: Sequence, gs: Sequence) -> bool:
     """Projective equality: all cross products f_i g_j - f_j g_i vanish."""
     if len(fs) != len(gs):
         raise ValueError("tuples must have equal arity")
-    fs_zero = all(_is_zero(f) for f in fs)
-    gs_zero = all(_is_zero(g) for g in gs)
+    fs_zero = all(f.is_zero() for f in fs)
+    gs_zero = all(g.is_zero() for g in gs)
     if fs_zero or gs_zero:
         return fs_zero and gs_zero
     if len(fs) == 1:
         return fs[0].monic() == gs[0].monic()
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
-            if not _is_zero(fs[i] * gs[j] - fs[j] * gs[i]):
+            if not (fs[i] * gs[j] - fs[j] * gs[i]).is_zero():
                 return False
     return True
-
-
-def _is_zero(x) -> bool:
-    return x.is_zero()
 
 
 def linear_pushforward(C: PlaneCurve, M: Sequence[Sequence[FieldElement]]) -> PlaneCurve:
@@ -315,14 +307,7 @@ def linear_pushforward(C: PlaneCurve, M: Sequence[Sequence[FieldElement]]) -> Pl
     param = None
     if C.param is not None:
         param = Parametrization(mat_vec(M, C.param.forms))
-    curve = PlaneCurve(
-        field,
-        implicit,
-        param,
-        irreducible_trusted=C.irreducible_trusted,
-        birational_trusted=C.birational_trusted,
-    )
-    return curve
+    return PlaneCurve(field, implicit, param)
 
 
 class QuadraticPushforward:
@@ -368,14 +353,7 @@ def std_quadratic_pushforward(C: PlaneCurve) -> QuadraticPushforward:
             param = Parametrization([f2 * f3, f1 * f3, f1 * f2])
         except ValueError:
             param = None
-    curve = PlaneCurve(
-        field,
-        image.monic(),
-        param,
-        irreducible_trusted=C.irreducible_trusted,
-        birational_trusted=C.birational_trusted,
-    )
-    return QuadraticPushforward(curve, tuple(mults), d_new)
+    return QuadraticPushforward(PlaneCurve(field, image.monic(), param), tuple(mults), d_new)
 
 
 def jonquieres_decompose(f: PlaneRationalMap, P: ProjPoint) -> Optional[JonquieresWitness]:
@@ -403,10 +381,8 @@ def jonquieres_decompose(f: PlaneRationalMap, P: ProjPoint) -> Optional[Jonquier
     base_degree = max(int(q2.degree()) if not q2.is_zero() else 0, int(q3.degree()) if not q3.is_zero() else 0)
     if base_degree != 1:
         return None  # base map constant or not an automorphism of P^1
-    a = q2.coefficient(_exps("Y"))
-    b = q2.coefficient(_exps("Z"))
-    c = q3.coefficient(_exps("Y"))
-    d = q3.coefficient(_exps("Z"))
+    p2, p3 = q2.dehomogenize("Z").to_poly1("Y"), q3.dehomogenize("Z").to_poly1("Y")
+    a, b, c, d = p2[1], p2[0], p3[1], p3[0]
     if (a * d - b * c).is_zero():
         return None
     alpha = LineMobius(field, ((a, b), (c, d)))
@@ -421,26 +397,14 @@ def jonquieres_decompose(f: PlaneRationalMap, P: ProjPoint) -> Optional[Jonquier
         den = exact_div(den, frac_gcd)
     if num.degree_in("X") not in (NEG_INF, 0, 1) or den.degree_in("X") not in (NEG_INF, 0, 1):
         return None  # fiber action is not fractional-linear
+    zero = MultiPoly.zero(field, num.vars)
     entries = []
-    for source, power in ((num, 1), (num, 0), (den, 1), (den, 0)):
-        entries.append(_x_coefficient_as_ratfunc(source, power, field))
+    for source in (num, den):
+        by_power = source.univariate_coefficients("X")
+        entries += [RatFunc.from_poly(by_power.get(k, zero).to_poly1("Y")) for k in (1, 0)]
     try:
         fiber = MobiusOverBase(entries)
     except ValueError:
         return None
     return JonquieresWitness(alpha, fiber)
 
-
-def _exps(var: str) -> Tuple[int, int, int]:
-    return tuple(1 if v == var else 0 for v in CURVE_VARS)
-
-
-def _x_coefficient_as_ratfunc(p: MultiPoly, power: int, field: Field) -> RatFunc:
-    """Coefficient of X^power in p(X, Y) as a rational function of y."""
-    coeffs: Dict[int, FieldElement] = {}
-    for e, c in p.terms.items():
-        if e[0] == power:
-            coeffs[e[1]] = c
-    top = max(coeffs) if coeffs else 0
-    poly = Poly1(field, [coeffs.get(k, field.zero()) for k in range(top + 1)])
-    return RatFunc.from_poly(poly)

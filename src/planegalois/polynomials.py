@@ -426,21 +426,14 @@ def _subresultant(fc: list, gc: list, one):
         R = pseudo_rem(A, B)
         if not R:
             break
-        divisor = g if delta == 0 else g * _ring_pow(h, delta)
+        divisor = g if delta == 0 else g * h**delta
         A, B = B, [exact_div(c, divisor) for c in R]
         g = A[-1]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = exact_div(_ring_pow(g, delta), _ring_pow(h, delta - 1))
+            h = exact_div(g**delta, h ** (delta - 1))
     return len(A) - 1, B, h, sign
-
-
-def _ring_pow(c, n: int):
-    out = c
-    for _ in range(n - 1):
-        out = out * c
-    return out
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -542,7 +535,7 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     deg_a, B, h, sign = _subresultant(_dense_coeffs(f, var), _dense_coeffs(g, var), one)
     if len(B) > 1:
         return MultiPoly.zero(f.field, f.vars)
-    value = B[0] if deg_a == 1 else exact_div(_ring_pow(B[0], deg_a), _ring_pow(h, deg_a - 1))
+    value = B[0] if deg_a == 1 else exact_div(B[0] ** deg_a, h ** (deg_a - 1))
     return value if sign > 0 else -value
 
 

@@ -14,6 +14,8 @@ from planegalois.curves import (
     multiplicity_implicit,
     multiplicity_param,
     parametrization_from_affine,
+    _divisors,
+    _poly1_roots,
 )
 from planegalois.linalg import mat_det, mat_vec
 from planegalois.parsing import parse_poly
@@ -273,6 +275,18 @@ def test_has_point_of_multiplicity_examples(Q, Z5):
     conic = curve_from_implicit(parse_poly("Y^2 - X*Z", Q, CURVE_VARS))
     res3 = has_point_of_multiplicity_ge(conic, 2, seed=0)
     assert res3.verdict is False
+
+
+def test_rational_root_tail_of_the_multiplicity_bound_search(Q):
+    g = parse_poly("(2*x - 1)*(x + 3)*(x^2 + 1)", Q, ("x",)).to_poly1("x")
+    roots, complete = _poly1_roots(g)
+    assert set(roots) == {Q.parse("1/2"), Q.parse("-3")}
+    assert complete
+    assert _divisors(12) == ([1, 2, 3, 4, 6, 12], True)
+    assert _divisors(0) == ([1], True)
+    # a cofactor above 10^12 survives trial division: composite means incomplete
+    assert _divisors(2 * 1000003 * 1000033)[1] is False
+    assert _divisors(2 * 1000000000039) == ([1, 2, 1000000000039, 2000000000078], True)
 
 
 def test_has_point_characteristic_guard(F3):

@@ -1,0 +1,91 @@
+"""Static hygiene of the package, read with the standard library's ast:
+no unused imports and no methods that nothing calls."""
+
+import ast
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "planegalois")
+
+# Imports kept on purpose although the module does not use them.
+UNUSED_IMPORT_ALLOWLIST = {
+    ("curves", "sylvester_det"): "bench/tests/test_bench.py pins the binding curves.sylvester_det",
+}
+
+
+def _modules():
+    return sorted(name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py"))
+
+
+def _parse(path: str) -> ast.Module:
+    with open(path, "r", encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _python_files(*dirs):
+    for top in dirs:
+        for base, _, names in os.walk(os.path.join(ROOT, top)):
+            for name in names:
+                if name.endswith(".py"):
+                    yield os.path.join(base, name)
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Names loaded anywhere in the module, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(ann.value, mode="eval")) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("module", [m for m in _modules() if m != "__init__"])
+def test_no_unused_imports(module):
+    """`__init__` is exempt: its imports are the package's public names."""
+    tree = _parse(os.path.join(PACKAGE, f"{module}.py"))
+    used = _used_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and (module, bound) not in UNUSED_IMPORT_ALLOWLIST:
+                    unused.append(bound)
+    assert unused == []
+
+
+def test_every_method_is_called_somewhere():
+    """Each non-dunder method of a package class is read as an attribute
+    somewhere in src/, tests/ or bench/.  Only attribute references count,
+    so a local variable that shares a method's name does not keep it alive."""
+    attributes = set()
+    for path in _python_files("src", "tests", "bench"):
+        attributes.update(n.attr for n in ast.walk(_parse(path)) if isinstance(n, ast.Attribute))
+    unreferenced = []
+    for module in _modules():
+        for cls in ast.walk(_parse(os.path.join(PACKAGE, f"{module}.py"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = item.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if name not in attributes:
+                    unreferenced.append(f"{module}.{cls.name}.{name}")
+    assert unreferenced == []
