@@ -11,21 +11,24 @@ import argparse
 import json
 import sys
 import time
-from .cremona import ReductionChain, kodaira_pairing, line_equivalence_decision
+from typing import Optional
+
+from .cremona import kodaira_pairing, line_equivalence_decision
 from .curves import multiplicity_implicit
-from .galois import deck_group_from_candidates, extension_verdict
+from .fields import SqrtBudget
+from .galois import deck_group_from_candidates
 from .parsing import ParseError, render_poly
 from .scenarios import (
     BUILTIN_NAMES,
     Scenario,
     ScenarioError,
+    extension_entries,
     field_to_json,
     load_scenario,
     point_from_json,
+    reduction_chain,
     run_scenario,
     scenario_from_json,
-    _matrix_text,
-    _witness_json,
 )
 
 EXIT_OK = 0
@@ -105,8 +108,8 @@ def render_report(report: dict, format: str = "human") -> str:
         elif key == "extensions":
             lines.append("extensions:")
             for entry in value:
-                suffix = " (proven)" if entry.get("proven") else ""
-                lines.append(f"  {entry.get('label', entry['element'])}: {entry['verdict']}{suffix}")
+                suffix = " (proven)" if entry["proven"] else ""
+                lines.append(f"  {entry['label']}: {entry['verdict']}{suffix}")
         else:
             lines.append(f"{key}: {json.dumps(value) if not isinstance(value, str) else value}")
     return "\n".join(lines)
@@ -159,8 +162,6 @@ def run_command(argv) -> int:
 
 
 def _sqrt_budget(args):
-    from .fields import SqrtBudget
-
     if args.precision_budget is None:
         return None
     return SqrtBudget(max_denominator=args.precision_budget)
@@ -178,8 +179,23 @@ def _cmd_verify(args) -> int:
     return _exit_for(report)
 
 
+def _scenario_for_file(path: str, point: Optional[str] = None) -> Scenario:
+    """The scenario in a file, centred at [1:0:0] when the file names no point.
+    A `--point` value replaces the center and drops the file's expectations,
+    which were stated for its own point."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if "point" not in data:
+        data = dict(data, point=["1", "0", "0"])
+    scenario = scenario_from_json(data, name=path)
+    if point is not None:
+        scenario.point = point_from_json(scenario.field, point.split(","))
+        scenario.expected = {}
+    return scenario
+
+
 def _cmd_curve_info(args) -> int:
-    scenario = _scenario_for_file(args.file, need_point=False)
+    scenario = _scenario_for_file(args.file)
     C = scenario.curve
     report = {
         "field": field_to_json(scenario.field),
@@ -196,39 +212,17 @@ def _cmd_curve_info(args) -> int:
     return EXIT_OK
 
 
-def _scenario_for_file(path: str, need_point: bool = True) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not need_point and "point" not in data:
-        data = dict(data)
-        data["point"] = ["1", "0", "0"]
-    return scenario_from_json(data, name=path)
-
-
 def _cmd_galois_test(args) -> int:
-    scenario = _scenario_for_file(args.file, need_point=False)
-    point = point_from_json(scenario.field, args.point.split(","))
-    adjusted = Scenario(
-        scenario.name,
-        scenario.field,
-        scenario.curve,
-        point,
-        scenario.generators,
-        expected=None,
-        chain_steps=scenario.chain_steps,
-    )
+    scenario = _scenario_for_file(args.file, args.point)
     report = run_scenario(
-        adjusted, seed=args.seed, degree_bound=args.degree_bound, sqrt_budget=_sqrt_budget(args)
+        scenario, seed=args.seed, degree_bound=args.degree_bound, sqrt_budget=_sqrt_budget(args)
     )
     _emit(report, args.json)
-    if report.get("galois") == "undetermined":
-        return EXIT_UNDETERMINED
-    return EXIT_OK if report["summary"]["failed"] == 0 else EXIT_FAILED
+    return _exit_for(report)
 
 
 def _cmd_galois_extend(args) -> int:
-    scenario = _scenario_for_file(args.file, need_point=False)
-    point = point_from_json(scenario.field, args.point.split(","))
+    scenario = _scenario_for_file(args.file, args.point)
     if not scenario.generators:
         print("input error: the file supplies no generators", file=sys.stderr)
         return EXIT_INPUT
@@ -240,34 +234,21 @@ def _cmd_galois_extend(args) -> int:
     if C.param is None:
         print("input error: extension verdicts need a parametrization", file=sys.stderr)
         return EXIT_INPUT
-    certificate = deck_group_from_candidates(C.param, point, [gen])
+    certificate = deck_group_from_candidates(C.param, scenario.point, [gen])
     if certificate.verdict != "galois":
         report = {"galois": certificate.verdict, "method": certificate.method}
         _emit(report, args.json)
         return EXIT_UNDETERMINED if certificate.verdict == "undetermined" else EXIT_FAILED
-    chain = ReductionChain(C, scenario.chain_steps) if scenario.chain_steps else None
-    reports = extension_verdict(C, point, certificate, chain=chain, degree_bound=args.degree_bound, seed=args.seed)
-    payload = {
-        "galois": True,
-        "group_order": len(certificate.group),
-        "extensions": [
-            {
-                "element": _matrix_text(r.element.matrix),
-                "verdict": r.verdict,
-                "proven": r.proven,
-                **({"witness": _witness_json(r.witness)} if r.witness is not None else {}),
-            }
-            for r in reports
-        ],
-    }
-    _emit(payload, args.json)
-    if any(r.verdict == "undetermined" for r in reports):
+    chain = reduction_chain(C, scenario.chain_steps)[0] if scenario.chain_steps else None
+    _, entries = extension_entries(C, scenario.point, certificate, chain, args.degree_bound, args.seed, gen)
+    _emit({"galois": True, "group_order": len(certificate.group), "extensions": entries}, args.json)
+    if any(e["verdict"] == "undetermined" for e in entries):
         return EXIT_UNDETERMINED
     return EXIT_OK
 
 
 def _cmd_cremona_reduce(args) -> int:
-    scenario = _scenario_for_file(args.file, need_point=False)
+    scenario = _scenario_for_file(args.file)
     C = scenario.curve
     report = {
         "degree": C.degree,
@@ -275,8 +256,7 @@ def _cmd_cremona_reduce(args) -> int:
     }
     mults = []
     if scenario.chain_steps:
-        chain = ReductionChain(C, scenario.chain_steps)
-        report["chain_stages"] = [render_poly(s.implicit.monic()) for s in chain.stages[1:]]
+        chain, report["chain_stages"] = reduction_chain(C, scenario.chain_steps)
         for step, stage in zip(chain.steps, chain.stages):
             if step.kind == "std_quadratic_at":
                 mults = [multiplicity_implicit(stage, p) for p in step.points]

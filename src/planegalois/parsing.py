@@ -69,7 +69,6 @@ class _Parser:
         self.pos = 0
         self.field = field
         self.vars = vars
-        self.length = len(text)
 
     def peek(self):
         return self.tokens[self.pos]

@@ -8,7 +8,7 @@ deterministic report whose checks drive the CLI exit code.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .cremona import (
     ChainStep,
@@ -24,6 +24,7 @@ from .curves import (
     ProjPoint,
     curve_from_parametrization,
     has_point_of_multiplicity_ge,
+    implicitize,
     multiplicity_implicit,
     multiplicity_param,
     parametrization_from_affine,
@@ -33,11 +34,13 @@ from .galois import (
     deck_group_from_candidates,
     extension_verdict,
     galois_test_low_degree,
+    mobius_solver,
+    parameter_data,
     project_param,
     projection_model,
 )
-from .linalg import mat_det, mat_inv
-from .maps import LineMobius, PlaneRationalMap, proportional_eq
+from .linalg import mat_det, mat_inv, mat_vec
+from .maps import LineMobius, MobiusOverBase, PlaneRationalMap, linear_pushforward, proportional_eq
 from .parsing import ParseError, parse_poly, render_poly
 
 
@@ -57,7 +60,6 @@ class Scenario:
         generators: Sequence[LineMobius],
         expected: Optional[dict] = None,
         chain_steps: Optional[Sequence[ChainStep]] = None,
-        notes: str = "",
     ):
         self.name = name
         self.field = field
@@ -66,7 +68,6 @@ class Scenario:
         self.generators = list(generators)
         self.expected = expected or {}
         self.chain_steps = list(chain_steps) if chain_steps else None
-        self.notes = notes
 
 
 def field_from_json(data: dict) -> Field:
@@ -160,6 +161,8 @@ def curve_from_json(field: Field, data: dict) -> PlaneCurve:
     if implicit is not None and param is not None:
         if not implicit.substitute(dict(zip(CURVE_VARS, param.forms))).is_zero():
             raise ScenarioError("the implicit form does not vanish on the parametrization")
+        if implicit != implicitize(param):
+            raise ScenarioError("the implicit form is not the equation of the parametrized curve")
     return PlaneCurve(field, implicit, param)
 
 
@@ -363,18 +366,6 @@ def load_scenario(name_or_path: str) -> Scenario:
 # -- running --------------------------------------------------------------------
 
 
-class Check:
-    __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed, detail: str = ""):
-        self.name = name
-        self.passed = passed  # True | False | "undetermined"
-        self.detail = detail
-
-    def as_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
 def _matrix_text(M) -> List[List[str]]:
     return [[str(x) for x in row] for row in M]
 
@@ -384,6 +375,43 @@ def _map_text(J: PlaneRationalMap) -> List[str]:
 
 
 _GALOIS_REPORT = {"galois": True, "not_galois": False}  # any other verdict reports "undetermined"
+_EXTENDING_VERDICTS = ("jonquieres", "cremona_only", "linear")
+
+
+def reduction_chain(C: PlaneCurve, steps: Sequence[ChainStep]):
+    """The reduction chain of C through `steps`, and the monic equations of
+    its stages after C."""
+    chain = ReductionChain(C, steps)
+    return chain, [render_poly(s.implicit.monic()) for s in chain.stages[1:]]
+
+
+def extension_entries(C: PlaneCurve, P: ProjPoint, certificate, chain, D, seed: int, gen):
+    """Extension verdicts for the elements of a Galois certificate, and their
+    labelled report entries.  Deck elements are labelled identity, generator
+    (`gen`), generator_squared or by their matrix; abstract ones by name."""
+    reports = extension_verdict(C, P, certificate, chain=chain, degree_bound=D, seed=seed)
+    gen_sq = gen.compose(gen) if gen is not None else None
+    entries = []
+    for r in reports:
+        if isinstance(r.element, LineMobius):
+            element = _matrix_text(r.element.matrix)
+            if r.element.is_identity():
+                label = "identity"
+            elif r.element == gen:
+                label = "generator"
+            elif r.element == gen_sq:
+                label = "generator_squared"
+            else:
+                label = f"element_{element}"
+        else:
+            label = element = str(r.element)
+        entry = {"element": element, "label": label, "verdict": r.verdict, "proven": r.proven}
+        if r.witness is not None:
+            entry["witness"] = _witness_json(r.witness)
+        if r.notes:
+            entry["notes"] = r.notes
+        entries.append(entry)
+    return reports, entries
 
 
 def run_scenario(
@@ -393,11 +421,21 @@ def run_scenario(
     sqrt_budget=None,
 ) -> dict:
     """Full verification pipeline; returns a deterministic report dict."""
-    checks: List[Check] = []
+    checks: List[dict] = []
     field = scenario.field
     C = scenario.curve
     P = scenario.point
     exp = scenario.expected
+
+    def check(name: str, passed, detail: str) -> None:
+        """`passed` is True, False or "undetermined"."""
+        checks.append({"name": name, "passed": passed, "detail": detail})
+
+    def expect(key: str, name: str, value, stated=lambda want: want) -> None:
+        """Check `value` against the expectation `key`, put in comparable
+        form by `stated`, when the scenario states one."""
+        if key in exp:
+            check(name, value == stated(exp[key]), f"{value}")
 
     report: dict = {
         "scenario": scenario.name,
@@ -415,35 +453,29 @@ def run_scenario(
     report["extension_degree"] = n
     report["degree"] = n  # certificate-schema alias for the extension degree
     report["generators"] = [_matrix_text(g.matrix) for g in scenario.generators]
-    if "curve_degree" in exp:
-        checks.append(Check("curve degree", d == exp["curve_degree"], f"{d}"))
-    if "multiplicity_center" in exp:
-        checks.append(Check("multiplicity at center", m == exp["multiplicity_center"], f"{m}"))
-    if "extension_degree" in exp:
-        checks.append(Check("extension degree", n == exp["extension_degree"], f"{n}"))
+    expect("curve_degree", "curve degree", d)
+    expect("multiplicity_center", "multiplicity at center", m)
+    expect("extension_degree", "extension degree", n)
 
     if C.param is not None:
         mp = multiplicity_param(C.param, P, trials=5, seed=seed)
-        checks.append(Check("multiplicity oracle agreement at center", mp == m, f"param {mp} vs implicit {m}"))
+        check("multiplicity oracle agreement at center", mp == m, f"param {mp} vs implicit {m}")
         if "psi" in exp:
             a, b = project_param(C.param, P)
             want = tuple(parse_poly(t, field, PARAM_VARS) for t in exp["psi"])
-            checks.append(
-                Check("projection of the parametrization", proportional_eq((a, b), want), f"[{a} : {b}]")
-            )
+            check("projection of the parametrization", proportional_eq((a, b), want), f"[{a} : {b}]")
 
-    # Galois decision: deck route when parametrized, low-degree route otherwise.
+    # Galois decision: the deck route when parametrized, the low-degree route
+    # when n <= 3.  The report takes whichever route decides; the two are
+    # compared only when both do.
     certificate = None
     if C.param is not None and scenario.generators:
         certificate = deck_group_from_candidates(C.param, P, scenario.generators)
         report["galois"] = _GALOIS_REPORT.get(certificate.verdict, "undetermined")
         report["galois_method"] = certificate.method
         report["group_order"] = len(certificate.group)
-        if "group_order" in exp:
-            checks.append(Check("group order", len(certificate.group) == exp["group_order"], f"{len(certificate.group)}"))
-        if "generator_order" in exp:
-            orders = [g.order() for g in scenario.generators]
-            checks.append(Check("generator order", orders == [exp["generator_order"]], f"{orders}"))
+        expect("group_order", "group order", len(certificate.group))
+        expect("generator_order", "generator order", [g.order() for g in scenario.generators], lambda k: [k])
     if n <= 3:
         model = projection_model(C, P)
         try:
@@ -451,189 +483,107 @@ def run_scenario(
         except ValueError as exc:  # an inseparable fiber polynomial: the curve is not reduced
             raise ScenarioError(f"degenerate projection: {exc}") from exc
         report["low_degree_method"] = low.method
-        if certificate is None:
+        if certificate is None or (certificate.verdict == "undetermined" and low.verdict != "undetermined"):
             certificate = low
             report["galois"] = _GALOIS_REPORT.get(low.verdict, "undetermined")
             report["galois_method"] = low.method
-        else:
-            checks.append(
-                Check(
-                    "deck and discriminant verdicts agree",
-                    certificate.verdict == low.verdict,
-                    f"deck {certificate.verdict}, algebraic {low.verdict}",
-                )
+        elif "undetermined" not in (certificate.verdict, low.verdict):
+            check(
+                "deck and discriminant verdicts agree",
+                certificate.verdict == low.verdict,
+                f"deck {certificate.verdict}, algebraic {low.verdict}",
             )
         if "discriminant_num" in exp and low.details.get("discriminant") is not None:
             disc = low.details["discriminant"]
             want = parse_poly(exp["discriminant_num"], field, ("y",)).to_poly1("y")
             ok = disc.num == want and disc.den.degree() == 0
-            checks.append(Check("discriminant equals the stated form", ok, str(exp["discriminant_num"])))
-    if "galois" in exp:
-        checks.append(Check("Galois verdict", report.get("galois") == exp["galois"], f"{report.get('galois')}"))
+            check("discriminant equals the stated form", ok, str(exp["discriminant_num"]))
+    expect("galois", "Galois verdict", report.get("galois"))
 
     # Singular point bookkeeping.
-    if "singular_points" in exp:
-        for coords in exp["singular_points"]:
-            Q = point_from_json(field, coords)
-            mi = multiplicity_implicit(C, Q)
-            ok = mi == exp.get("singular_multiplicity", 2)
-            detail = f"multiplicity {mi} at {Q}"
-            if C.param is not None:
-                mpq = multiplicity_param(C.param, Q, trials=5, seed=seed)
-                ok = ok and mpq == mi
-                detail += f", param method {mpq}"
-            checks.append(Check(f"singular point {coords}", ok, detail))
+    for coords in exp.get("singular_points", ()):
+        Q = point_from_json(field, coords)
+        mi = multiplicity_implicit(C, Q)
+        ok = mi == exp.get("singular_multiplicity", 2)
+        detail = f"multiplicity {mi} at {Q}"
+        if C.param is not None:
+            mpq = multiplicity_param(C.param, Q, trials=5, seed=seed)
+            ok = ok and mpq == mi
+            detail += f", param method {mpq}"
+        check(f"singular point {coords}", ok, detail)
     if "no_point_of_multiplicity" in exp:
         bound = exp["no_point_of_multiplicity"]
         result = has_point_of_multiplicity_ge(C, bound, seed=seed)
         value = result.verdict
-        if value is False:
-            passed = True
-        elif value is True:
-            passed = False
-        else:
-            passed = "undetermined"
-        checks.append(
-            Check(
-                f"no point of multiplicity >= {bound}",
-                passed,
-                "certified empty" if value is False else str(result),
-            )
-        )
+        passed = not value if isinstance(value, bool) else "undetermined"
+        check(f"no point of multiplicity >= {bound}", passed, "certified empty" if value is False else str(result))
         report["multiplicity_bound_certificate"] = value is False
 
-    # Reduction chain.
     chain = None
     if scenario.chain_steps:
-        chain = ReductionChain(C, scenario.chain_steps)
-        stages = [render_poly(s.implicit.monic()) for s in chain.stages[1:]]
+        chain, stages = reduction_chain(C, scenario.chain_steps)
         report["chain_stages"] = stages
         if "stage_equations" in exp:
             want = [render_poly(parse_poly(t, field, CURVE_VARS).monic()) for t in exp["stage_equations"]]
-            checks.append(Check("reduction chain stages", stages == want, " -> ".join(stages)))
+            check("reduction chain stages", stages == want, " -> ".join(stages))
     if "singular_points" in exp:
-        mults = [multiplicity_implicit(C, point_from_json(field, c)) for c in exp["singular_points"]]
-        report["kodaira_pairing"] = kodaira_pairing(d, mults).pairing
+        report["kodaira_pairing"] = kodaira_pairing(d, ()).pairing  # d - 6, whatever the multiplicities
     report["line_equivalence"] = (
         line_equivalence_decision(C) if C.param is not None else "unknown"
     )
 
-    # Per-element extension verdicts.
     if certificate is not None and certificate.verdict == "galois":
-        reports = extension_verdict(C, P, certificate, chain=chain, degree_bound=degree_bound, seed=seed)
         gen = scenario.generators[0] if scenario.generators else None
-        gen_sq = gen.compose(gen) if gen is not None else None
-        extension_entries = []
-        verdict_by_element: Dict[str, str] = {}
-        extendable = []
-        for r in reports:
-            if isinstance(r.element, LineMobius):
-                label = "identity" if r.element.is_identity() else None
-                if label is None and gen is not None and r.element == gen:
-                    label = "generator"
-                elif label is None and gen_sq is not None and r.element == gen_sq and not gen_sq.is_identity():
-                    label = "generator_squared"
-                elif label is None:
-                    label = f"element_{_matrix_text(r.element.matrix)}"
-                element_json = _matrix_text(r.element.matrix)
-            else:
-                label = str(r.element)
-                element_json = label
-            verdict_by_element[label] = r.verdict
-            entry = {"element": element_json, "label": label, "verdict": r.verdict, "proven": r.proven}
-            if r.witness is not None:
-                entry["witness"] = _witness_json(r.witness)
-            if r.notes:
-                entry["notes"] = r.notes
-            extension_entries.append(entry)
-            if r.verdict in ("jonquieres", "cremona_only", "linear"):
-                extendable.append(label)
-        report["extensions"] = extension_entries
-        report["extendable_elements"] = sorted(extendable)
-        report["jonquieres"] = all(r.verdict == "jonquieres" for r in reports)
-        report["cremona"] = all(r.verdict in ("jonquieres", "cremona_only", "linear") for r in reports)
+        reports, entries = extension_entries(C, P, certificate, chain, degree_bound, seed, gen)
+        verdicts = {e["label"]: e["verdict"] for e in entries}
+        report["extensions"] = entries
+        report["extendable_elements"] = sorted(e["label"] for e in entries if e["verdict"] in _EXTENDING_VERDICTS)
+        report["jonquieres"] = all(e["verdict"] == "jonquieres" for e in entries)
+        report["cremona"] = all(e["verdict"] in _EXTENDING_VERDICTS for e in entries)
 
         wanted = exp.get("element_verdicts", {})
         if "all" in wanted:
-            checks.append(
-                Check(
-                    f"every element extends as {wanted['all']}",
-                    all(v == wanted["all"] for v in verdict_by_element.values()),
-                    str(verdict_by_element),
-                )
-            )
+            ok = all(v == wanted["all"] for v in verdicts.values())
+            check(f"every element extends as {wanted['all']}", ok, str(verdicts))
         for label in ("generator", "generator_squared"):
             if label in wanted:
-                checks.append(
-                    Check(
-                        f"{label} verdict",
-                        verdict_by_element.get(label) == wanted[label],
-                        f"{verdict_by_element.get(label)}",
-                    )
-                )
+                check(f"{label} verdict", verdicts.get(label) == wanted[label], f"{verdicts.get(label)}")
         if "nontrivial" in wanted:
-            ok = all(
-                v == wanted["nontrivial"] for k, v in verdict_by_element.items() if k != "identity"
-            )
-            checks.append(Check("nontrivial elements verdict", ok, str(verdict_by_element)))
-        if "extendable_elements" in exp:
-            checks.append(
-                Check(
-                    "extendable elements",
-                    report["extendable_elements"] == sorted(exp["extendable_elements"]),
-                    str(report["extendable_elements"]),
-                )
-            )
+            ok = all(v == wanted["nontrivial"] for k, v in verdicts.items() if k != "identity")
+            check("nontrivial elements verdict", ok, str(verdicts))
+        expect("extendable_elements", "extendable elements", report["extendable_elements"], sorted)
         for key in ("jonquieres", "cremona"):
-            if key in exp:
-                checks.append(Check(f"group extends to {key}", report[key] == exp[key], str(report[key])))
+            expect(key, f"group extends to {key}", report[key])
 
-        # Explicit expected maps.
         if "jonquieres_map" in exp:
             J_want = PlaneRationalMap([parse_poly(t, field, CURVE_VARS) for t in exp["jonquieres_map"]])
-            J_found = None
-            for r in reports:
-                if r.verdict == "jonquieres" and r.witness is not None and isinstance(r.witness, tuple):
-                    candidate = r.witness[1]
-                    if candidate == J_want:
-                        J_found = candidate
-                        break
-            ok = J_found is not None
+            ok = any(r.verdict == "jonquieres" and isinstance(r.witness, tuple) and r.witness[1] == J_want
+                     for r in reports)
             detail = "matched the stated map" if ok else "stated map not among witnesses"
             if exp.get("fixed_equation") and ok:
-                sub = {v: c for v, c in zip(CURVE_VARS, J_want.components)}
-                fixed = C.implicit.substitute(sub) == C.implicit
-                ok = ok and fixed
-                detail += "; F o J == F" if fixed else "; F o J != F"
-            checks.append(Check("stated de Jonquieres map verified", ok, detail))
+                ok = C.implicit.substitute(dict(zip(CURVE_VARS, J_want.components))) == C.implicit
+                detail += "; F o J == F" if ok else "; F o J != F"
+            check("stated de Jonquieres map verified", ok, detail)
         if "mobius_none_at_bound" in exp:
-            from .galois import mobius_solver, parameter_data
+            bound = exp["mobius_none_at_bound"]
+            at_bound = mobius_solver(*parameter_data(C.param, P, gen), field, bound)
+            none = at_bound.status in ("none_up_to_bound", "none_proven")
+            check(f"mobius solver NONE at degree bound {bound}", none, at_bound.status)
 
-            x_t, sx_t, psi_t = parameter_data(C.param, P, gen)
-            at_bound = mobius_solver(x_t, sx_t, psi_t, field, exp["mobius_none_at_bound"])
-            checks.append(
-                Check(
-                    f"mobius solver NONE at degree bound {exp['mobius_none_at_bound']}",
-                    at_bound.status in ("none_up_to_bound", "none_proven"),
-                    at_bound.status,
-                )
-            )
-
-    if "galois" not in report:
-        report["galois"] = "undetermined"
-    report["checks"] = [c.as_json() for c in checks]
-    passed = [c for c in checks if c.passed is True]
-    undetermined = [c for c in checks if c.passed == "undetermined"]
-    failed = [c for c in checks if c.passed is False]
+    report.setdefault("galois", "undetermined")
+    report["checks"] = checks
+    outcomes = [c["passed"] for c in checks]
+    failed = sum(p is False for p in outcomes)
+    undetermined = outcomes.count("undetermined")
     report["summary"] = {
         "checks": len(checks),
-        "passed": len(passed),
-        "failed": len(failed),
-        "undetermined": len(undetermined),
+        "passed": sum(p is True for p in outcomes),
+        "failed": failed,
+        "undetermined": undetermined,
     }
     if failed:
         report["status"] = "failed"
-    elif undetermined or report.get("galois") == "undetermined":
+    elif undetermined or report["galois"] == "undetermined":
         report["status"] = "undetermined"
     else:
         report["status"] = "verified"
@@ -641,8 +591,6 @@ def run_scenario(
 
 
 def _witness_json(witness) -> object:
-    from .maps import MobiusOverBase
-
     if isinstance(witness, tuple):
         return [_witness_json(w) for w in witness]
     if isinstance(witness, MobiusOverBase):
@@ -691,9 +639,6 @@ def conjugate_scenario(scenario: Scenario, M: Sequence[Sequence[FieldElement]]) 
     are dropped, coordinate-free verdicts are kept; a reduction chain gains a
     leading step back to the original coordinates.
     """
-    from .maps import linear_pushforward
-    from .linalg import mat_vec
-
     field = scenario.field
     _ = scenario.curve.implicit  # materialize once so the pushforward is a cheap substitution
     curve = linear_pushforward(scenario.curve, M)

@@ -1,5 +1,6 @@
 """Static hygiene of the package, read with the standard library's ast:
-no unused imports and no methods that nothing calls."""
+no unused imports, no methods that nothing calls and no stored attributes
+that nothing reads."""
 
 import ast
 import os
@@ -68,13 +69,22 @@ def test_no_unused_imports(module):
     assert unused == []
 
 
+def _attributes(load_only: bool = False) -> set:
+    """Attribute names referenced anywhere in src/, tests/ or bench/ (only
+    the ones read, with `load_only`)."""
+    attributes = set()
+    for path in _python_files("src", "tests", "bench"):
+        for n in ast.walk(_parse(path)):
+            if isinstance(n, ast.Attribute) and not (load_only and isinstance(n.ctx, ast.Store)):
+                attributes.add(n.attr)
+    return attributes
+
+
 def test_every_method_is_called_somewhere():
     """Each non-dunder method of a package class is read as an attribute
     somewhere in src/, tests/ or bench/.  Only attribute references count,
     so a local variable that shares a method's name does not keep it alive."""
-    attributes = set()
-    for path in _python_files("src", "tests", "bench"):
-        attributes.update(n.attr for n in ast.walk(_parse(path)) if isinstance(n, ast.Attribute))
+    attributes = _attributes()
     unreferenced = []
     for module in _modules():
         for cls in ast.walk(_parse(os.path.join(PACKAGE, f"{module}.py"))):
@@ -89,3 +99,28 @@ def test_every_method_is_called_somewhere():
                 if name not in attributes:
                     unreferenced.append(f"{module}.{cls.name}.{name}")
     assert unreferenced == []
+
+
+def _stored_on_self(cls: ast.ClassDef):
+    """Names a class stores with `self.name = ...` or, in the immutable
+    classes, `object.__setattr__(self, "name", ...)`."""
+    for n in ast.walk(cls):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            if isinstance(n.value, ast.Name) and n.value.id == "self":
+                yield n.attr
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "__setattr__":
+            target, name = (n.args + [None, None])[:2]
+            if isinstance(target, ast.Name) and target.id == "self" and isinstance(name, ast.Constant):
+                yield name.value
+
+
+def test_every_stored_attribute_is_read_somewhere():
+    """Each attribute that a package class stores on `self` is read as an
+    attribute somewhere in src/, tests/ or bench/."""
+    read = _attributes(load_only=True)
+    unread = []
+    for module in _modules():
+        for cls in ast.walk(_parse(os.path.join(PACKAGE, f"{module}.py"))):
+            if isinstance(cls, ast.ClassDef):
+                unread.extend(f"{module}.{cls.name}.{name}" for name in _stored_on_self(cls) if name not in read)
+    assert unread == []

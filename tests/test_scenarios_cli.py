@@ -126,23 +126,40 @@ def test_run_command_exit_codes():
 
 
 MISMATCHED_FILES = [
-    {
-        "field": {"kind": "cyclotomic", "n": 3},
-        "curve": {"implicit": "X^3 + Y^3 + Z^3", "param": ["u*v^2 + u^2*v", "u^3", "v^3"]},
-        "point": ["1", "0", "0"],
-        "generators": [[["z", "0"], ["0", "1"]]],
-    },
-    {
-        "field": {"kind": "rational"},
-        "curve": {"implicit": "X^2 - Y*Z", "param": ["u^2", "u*v", "v^2"]},
-        "point": ["1", "0", "0"],
-        "generators": [[["-1", "0"], ["0", "1"]]],
-    },
+    (
+        {
+            "field": {"kind": "cyclotomic", "n": 3},
+            "curve": {"implicit": "X^3 + Y^3 + Z^3", "param": ["u*v^2 + u^2*v", "u^3", "v^3"]},
+            "point": ["1", "0", "0"],
+            "generators": [[["z", "0"], ["0", "1"]]],
+        },
+        "does not vanish on the parametrization",
+    ),
+    (
+        {
+            "field": {"kind": "rational"},
+            "curve": {"implicit": "X^2 - Y*Z", "param": ["u^2", "u*v", "v^2"]},
+            "point": ["1", "0", "0"],
+            "generators": [[["-1", "0"], ["0", "1"]]],
+        },
+        "does not vanish on the parametrization",
+    ),
+    (
+        # vanishes on the conic's parametrization, but is a reducible multiple
+        # of its equation: the degrees and the Galois data would disagree
+        {
+            "field": {"kind": "rational"},
+            "curve": {"implicit": "(Y^2 - X*Z)*(X + Z)", "param": ["u^2", "u*v", "v^2"]},
+            "point": ["0", "0", "1"],
+            "generators": [[["-1", "0"], ["0", "1"]]],
+        },
+        "is not the equation of the parametrized curve",
+    ),
 ]
 
 
-@pytest.mark.parametrize("data", MISMATCHED_FILES, ids=["cubic-omega-fermat", "conic"])
-def test_implicit_and_param_of_different_curves_are_input_errors(data, capsys):
+@pytest.mark.parametrize("data, message", MISMATCHED_FILES, ids=["cubic-omega-fermat", "conic", "reducible-multiple"])
+def test_implicit_and_param_of_different_curves_are_input_errors(data, message, capsys):
     path = _tmpfile(data)
     try:
         for argv in (
@@ -153,9 +170,60 @@ def test_implicit_and_param_of_different_curves_are_input_errors(data, capsys):
             ["verify", path],
         ):
             assert run_command(argv + ["--json"]) == EXIT_INPUT, argv
-            assert "does not vanish on the parametrization" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
     finally:
         os.unlink(path)
+
+
+CUBIC_OMEGA_PARAM = ["u*v^2 + u^2*v", "u^3", "v^3"]
+
+
+@pytest.mark.parametrize(
+    "field, generator",
+    [
+        # a deck group of order 3; the square test is undetermined, phi(51) = 32 > 16
+        ({"kind": "cyclotomic", "n": 51}, [["z^17", "0"], ["0", "1"]]),
+        # not a deck map, so the deck route is undetermined; the discriminant decides
+        ({"kind": "cyclotomic", "n": 3}, [["1", "0"], ["0", "-1"]]),
+    ],
+    ids=["deck-decides", "discriminant-decides"],
+)
+def test_one_deciding_galois_route_verifies(field, generator, capsys):
+    path = _tmpfile(
+        {"field": field, "curve": {"param": CUBIC_OMEGA_PARAM}, "point": ["1", "0", "0"], "generators": [generator]}
+    )
+    try:
+        for argv in (["verify", path], ["galois", "test", path, "--point", "1,0,0"]):
+            assert run_command(argv + ["--json"]) == EXIT_OK, argv
+            report = json.loads(capsys.readouterr().out)
+            assert report["galois"] is True and report["status"] == "verified"
+            assert report["summary"]["failed"] == 0
+    finally:
+        os.unlink(path)
+
+
+def test_galois_extend_renders_the_verify_entries(capsys):
+    path = _tmpfile(
+        {
+            "field": {"kind": "cyclotomic", "n": 3},
+            "curve": {"param": CUBIC_OMEGA_PARAM},
+            "point": ["1", "0", "0"],
+            "generators": [[["z", "0"], ["0", "1"]]],
+        }
+    )
+    try:
+        assert run_command(["verify", path, "--json"]) == EXIT_OK
+        verified = json.loads(capsys.readouterr().out)
+        assert run_command(["galois", "extend", path, "--point", "1,0,0", "--generator", "0", "--json"]) == EXIT_OK
+        extended = json.loads(capsys.readouterr().out)
+        assert run_command(["galois", "extend", path, "--point", "1,0,0"]) == EXIT_OK
+        human = capsys.readouterr().out.splitlines()
+    finally:
+        os.unlink(path)
+    assert extended["extensions"] == verified["extensions"]
+    assert {e["label"] for e in extended["extensions"]} == {"identity", "generator", "generator_squared"}
+    for label in ("identity", "generator", "generator_squared"):
+        assert f"  {label}: jonquieres" in human
 
 
 def test_verify_conic_over_f2():
