@@ -26,6 +26,7 @@ from .scenarios import (
     field_to_json,
     load_scenario,
     point_from_json,
+    read_scenario_json,
     reduction_chain,
     run_scenario,
     scenario_from_json,
@@ -183,8 +184,7 @@ def _scenario_for_file(path: str, point: Optional[str] = None) -> Scenario:
     """The scenario in a file, centred at [1:0:0] when the file names no point.
     A `--point` value replaces the center and drops the file's expectations,
     which were stated for its own point."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_scenario_json(path)
     if "point" not in data:
         data = dict(data, point=["1", "0", "0"])
     scenario = scenario_from_json(data, name=path)

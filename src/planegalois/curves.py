@@ -7,11 +7,13 @@ multiplicity-bound searches.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .fields import Field, FieldElement, UNDETERMINED, Undetermined
-from .linalg import mat_vec, nullspace
-from .polynomials import MultiPoly, NEG_INF, Poly1, exact_div, poly_gcd
+from .fields import Field, FieldElement, UNDETERMINED, Undetermined, is_prime, sqrt_in_field
+from .linalg import mat_det, mat_vec, nullspace
+from .polynomials import MultiPoly, NEG_INF, Poly1, exact_div, poly_gcd, resultant
 from .polynomials import sylvester_det  # noqa: F401  unused; bench/tests/test_bench.py pins curves.sylvester_det
 
 CURVE_VARS = ("X", "Y", "Z")
@@ -365,8 +367,9 @@ def has_point_of_multiplicity_ge(
     vanishing of all order-(m-1) partials.  After a random coordinate change
     making every partial nonzero at [0:0:1], the pairwise Z-resultants of the
     partials have constant leading coefficients, so a trivial gcd certifies
-    that no common zero exists over any extension.  Results are memoized on
-    the curve by (m, seed).
+    that no common zero exists over any extension.  In characteristic 0 the
+    certificate is first run on F modulo the field's split prime, where only
+    a False is taken.  Results are memoized on the curve by (m, seed).
     """
     key = (m, seed)
     if key not in C._bound_cache:
@@ -407,22 +410,40 @@ def _multiplicity_bound_search(C: PlaneCurve, m: int, seed: int) -> Multiplicity
         if all(g.evaluate(coords).is_zero() for g in partials):
             return MultiplicityBoundResult(True, witness=point)
 
+    if p == 0:
+        # A point of multiplicity >= m over the closure reduces to a common
+        # zero of the reduced partials, so none mod p proves there is none.
+        # Only that False is taken; every other outcome goes on exactly.
+        reduction = field.split_prime_reduction()
+        try:
+            reduced = MultiPoly(reduction.target, F.vars, {e: reduction(c) for e, c in F.terms.items()})
+        except ZeroDivisionError:  # the prime divides a denominator
+            pass
+        else:
+            modular = _resultant_search(reduced, m, random.Random(seed), seed)
+            if modular is not None and modular.verdict is False:
+                modular.certificate["prime"] = reduction.target.descriptor.p
+                return modular
+    return _resultant_search(F, m, rng, seed) or MultiplicityBoundResult(UNDETERMINED)
+
+
+def _resultant_search(F: MultiPoly, m: int, rng: random.Random, seed: int) -> Optional[MultiplicityBoundResult]:
+    """The resultant certificate in the first of five random charts that
+    moves no common zero of the order-(m-1) partials to [0:0:1]."""
+    field = F.field
+    origin = {"X": field.zero(), "Y": field.zero(), "Z": field.one()}
     for attempt in range(5):
         M = _random_invertible(field, rng)
-        moved = substitute_matrix(F, M)
-        H = [g for g in _order_partials(moved, m - 1) if not g.is_zero()]
-        origin = {"X": field.zero(), "Y": field.zero(), "Z": field.one()}
+        H = [g for g in _order_partials(substitute_matrix(F, M), m - 1) if not g.is_zero()]
         if any(h.evaluate(origin).is_zero() for h in H):
             continue
-        result = _resultant_certificate(C, H, M, m, seed=seed, attempt=attempt)
+        result = _resultant_certificate(H, M, seed=seed, attempt=attempt)
         if result is not None:
             return result
-    return MultiplicityBoundResult(UNDETERMINED)
+    return None
 
 
-def _resultant_certificate(C, H, M, m, seed, attempt):
-    from .polynomials import resultant
-
+def _resultant_certificate(H, M, seed, attempt):
     field = H[0].field
     common = None
     pairs_used = []
@@ -490,8 +511,6 @@ def _order_partials(F: MultiPoly, order: int) -> List[MultiPoly]:
 
 
 def _random_invertible(field: Field, rng: random.Random) -> List[List[FieldElement]]:
-    from .linalg import mat_det
-
     while True:
         M = [[field.from_int(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
         if not mat_det(M, field).is_zero():
@@ -558,8 +577,6 @@ def _poly1_roots(g: Poly1) -> Tuple[List[FieldElement], bool]:
         roots.append(-(g[0] / g[1]))
         return roots, True
     if d == 2:
-        from .fields import sqrt_in_field
-
         a, b, c = g[2], g[1], g[0]
         disc = b * b - field.from_int(4) * a * c
         r = sqrt_in_field(disc)
@@ -580,17 +597,14 @@ def _poly1_roots(g: Poly1) -> Tuple[List[FieldElement], bool]:
 
 def _rational_roots(g: Poly1) -> Tuple[List[FieldElement], bool]:
     """Rational root theorem on the primitive integer model of g."""
-    from fractions import Fraction
-    from math import gcd as int_gcd
-
     field = g.ring
     denominator = 1
     for c in g.coeffs:
-        denominator = denominator * c.data.denominator // int_gcd(denominator, c.data.denominator)
+        denominator = denominator * c.data.denominator // gcd(denominator, c.data.denominator)
     ints = [int(c.data * denominator) for c in g.coeffs]
     content = 0
     for c in ints:
-        content = int_gcd(content, c)
+        content = gcd(content, c)
     ints = [c // content for c in ints]
     lead, const = ints[-1], ints[0]
     const_divs, const_complete = _divisors(abs(const))
@@ -626,8 +640,6 @@ def _divisors(n: int, bound: int = 10**6) -> Tuple[List[int], bool]:
         # Trial division up to bound leaves a cofactor m <= bound**2 prime.
         factors[m] = factors.get(m, 0) + 1
         if m > bound * bound:
-            from .fields import is_prime
-
             complete = is_prime(m) if m < 2**63 else False
     divs = [1]
     for prime, mult in factors.items():

@@ -27,6 +27,7 @@ from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Union
 
 CYCLOTOMIC_CEILING = 64
+SPLIT_PRIME_FLOOR = 1000  # split primes are the least ones above this constant
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981  # deterministic below this bound
@@ -195,6 +196,13 @@ class Field:
             raise ValueError(f"unknown field kind {kind!r}")
         self.descriptor = descriptor
         self.kind = kind
+        self._split_prime_reduction = None
+
+    def split_prime_reduction(self) -> "SplitPrimeReduction":
+        """The reduction modulo this field's split prime, built on first use."""
+        if self._split_prime_reduction is None:
+            self._split_prime_reduction = SplitPrimeReduction(self)
+        return self._split_prime_reduction
 
     @property
     def characteristic(self) -> int:
@@ -452,6 +460,43 @@ def _cyclotomic(field: Field, coords: tuple, den: int) -> FieldElement:
             den //= g
             coords = tuple(c // g for c in coords)
     return FieldElement(field, (coords, den))
+
+
+class SplitPrimeReduction:
+    """Reduction of Q or Q(zeta_n) modulo a prime of degree one.
+
+    The prime p is the least one above SPLIT_PRIME_FLOOR with p = 1 (mod n)
+    (n = 1 for Q), and zeta maps to a primitive n-th root of unity r mod p,
+    a root of Phi_n mod p.  So the map Z[zeta] -> F_p, zeta -> r, is a ring
+    homomorphism, extended to every element whose denominator p does not
+    divide; the others are refused (Brown, JACM 18, 1971; Cohen, GTM 138).
+    """
+
+    __slots__ = ("source", "target", "_powers")
+
+    def __init__(self, field: Field):
+        if field.kind == "prime":
+            raise ValueError("prime fields have no split-prime reduction")
+        n = field.n if field.kind == "cyclotomic" else 1
+        p = next(q for q in itertools.count(SPLIT_PRIME_FLOOR + 1) if (q - 1) % n == 0 and is_prime(q))
+        # r = a^((p - 1)/n) has order dividing n; it is primitive when no
+        # r^(n/q) for a prime q | n is 1.
+        prime_divisors = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+        powers = (pow(a, (p - 1) // n, p) for a in itertools.count(2))
+        root = next(r for r in powers if all(pow(r, n // q, p) != 1 for q in prime_divisors))
+        self.source = field.descriptor
+        self.target = make_field(FieldDescriptor.prime(p))
+        self._powers = tuple(pow(root, j, p) for j in range(field.phi if n > 1 else 1))
+
+    def __call__(self, c: FieldElement) -> FieldElement:
+        if c.field.descriptor != self.source:
+            raise FieldMismatchError(f"cannot reduce an element of {c.field} modulo another field's split prime")
+        coords, den = c.data if c.field.kind == "cyclotomic" else ((c.data.numerator,), c.data.denominator)
+        p = self.target.descriptor.p
+        if den % p == 0:
+            raise ZeroDivisionError(f"the split prime {p} divides the denominator of {c}")
+        value = sum(a * w for a, w in zip(coords, self._powers)) * pow(den, -1, p) % p
+        return FieldElement(self.target, value)
 
 
 def _power(base, n: int, one):

@@ -10,9 +10,11 @@ Jonquieres extensions, and solves or refutes linear extensions to the plane.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import List, Optional, Sequence, Tuple, Union
 
+from .cremona import ChainTransport
 from .curves import (
     CURVE_VARS,
     Parametrization,
@@ -632,9 +634,7 @@ def _nonvanishing_point(det: MultiPoly, lam_vars, field) -> Optional[List[FieldE
     rng = random.Random(20240603)
     p = field.characteristic
     if p and p <= 7 and len(lam_vars) <= 6:
-        import itertools as _it
-
-        for values in _it.product(range(p), repeat=len(lam_vars)):
+        for values in itertools.product(range(p), repeat=len(lam_vars)):
             point = [field.from_int(v) for v in values]
             if not det.evaluate(dict(zip(lam_vars, point))).is_zero():
                 return point
@@ -708,8 +708,6 @@ def extension_verdict(
             continue
         if chain is not None:
             if chain_transport is None:
-                from .cremona import ChainTransport
-
                 chain_transport = ChainTransport(chain, phi)
             if chain_transport.valid:
                 J = chain_transport.extension_for(g)

@@ -65,7 +65,12 @@ def mat_inv(a: Sequence[Sequence], ring) -> List[List]:
 
 
 def rref(rows: List[List], ring) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    Left of its pivot the pivot row is zero, so each row update touches only
+    the pivot row's nonzero columns right of the pivot; the pivot column is
+    set to 1 or 0 directly.
+    """
     work = [list(r) for r in rows]
     if not work:
         return work, []
@@ -77,12 +82,18 @@ def rref(rows: List[List], ring) -> Tuple[List[List], List[int]]:
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and not work[r][col].is_zero():
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        prow = work[rank]
+        inv = prow[col].inverse()
+        support = [j for j in range(col + 1, cols) if not prow[j].is_zero()]
+        for j in support:
+            prow[j] = prow[j] * inv
+        prow[col] = ring.one()
+        for r, row in enumerate(work):
+            if r != rank and not row[col].is_zero():
+                factor = row[col]
+                for j in support:
+                    row[j] = row[j] - factor * prow[j]
+                row[col] = ring.zero()
         pivots.append(col)
         rank += 1
         if rank == len(work):

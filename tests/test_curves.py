@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from planegalois import curves
 from planegalois.curves import (
     CURVE_VARS,
     PARAM_VARS,
+    MultiplicityBoundResult,
     Parametrization,
     ProjPoint,
     curve_from_implicit,
@@ -263,6 +265,7 @@ def test_has_point_of_multiplicity_examples(Q, Z5):
     res = has_point_of_multiplicity_ge(deg7, 3, seed=0)
     assert res.verdict is False
     assert res.certificate["method"] == "pairwise Z-resultants, gcd 1"
+    assert res.certificate["prime"] == Z5.split_prime_reduction().target.descriptor.p  # certified mod p
     assert has_point_of_multiplicity_ge(deg7, 3, seed=0) is res  # memoized on the curve
 
     transformed = curve_from_implicit(
@@ -275,6 +278,38 @@ def test_has_point_of_multiplicity_examples(Q, Z5):
     conic = curve_from_implicit(parse_poly("Y^2 - X*Z", Q, CURVE_VARS))
     res3 = has_point_of_multiplicity_ge(conic, 2, seed=0)
     assert res3.verdict is False
+
+
+@pytest.mark.parametrize("name", ["Q", "Z5"])
+def test_multiplicity_bound_falls_back_to_exact_search(name, request):
+    field = request.getfixturevalue(name)
+    p = field.split_prime_reduction().target.descriptor.p
+    # X^2 + Y^2 + p*Z^2 is a smooth conic, but mod p it is the line pair
+    # X^2 + Y^2 with a double point at [0:0:1]; with 1/p the prime divides
+    # a coefficient's denominator.  Either way only the exact search can
+    # answer, and it answers False.
+    for c in (str(p), f"1/{p}"):
+        conic = curve_from_implicit(parse_poly(f"X^2 + Y^2 + {c}*Z^2", field, CURVE_VARS))
+        res = has_point_of_multiplicity_ge(conic, 2, seed=0)
+        assert res.verdict is False
+        assert res.certificate["method"] == "pairwise Z-resultants, gcd 1"
+        assert "prime" not in res.certificate
+        assert res.certificate["matrix"][0][0].field is field
+
+
+def test_only_a_false_is_taken_modulo_the_split_prime(Q, monkeypatch):
+    # a modular True (here forced) is not a proof: the exact search decides
+    exact = curves._resultant_certificate
+
+    def forced(H, M, seed, attempt):
+        if H[0].field.kind == "prime":
+            return MultiplicityBoundResult(True, witness=None)
+        return exact(H, M, seed, attempt)
+
+    monkeypatch.setattr(curves, "_resultant_certificate", forced)
+    conic = curve_from_implicit(parse_poly("X^2 + Y^2 + Z^2", Q, CURVE_VARS))
+    res = has_point_of_multiplicity_ge(conic, 2, seed=0)
+    assert res.verdict is False and "prime" not in res.certificate
 
 
 def test_rational_root_tail_of_the_multiplicity_bound_search(Q):

@@ -6,6 +6,8 @@ from math import gcd
 import pytest
 
 from planegalois.fields import (
+    CYCLOTOMIC_CEILING,
+    SPLIT_PRIME_FLOOR,
     Field,
     FieldDescriptor,
     FieldElement,
@@ -13,6 +15,7 @@ from planegalois.fields import (
     UNDETERMINED,
     Undetermined,
     cyclotomic_polynomial,
+    is_prime,
     make_field,
     sqrt_in_field,
 )
@@ -147,6 +150,46 @@ def test_generator_satisfies_minimal_polynomial(Z5, Z8):
         for k, c in enumerate(phi_n):
             acc = acc + z**k * field.from_int(c)
         assert acc.is_zero()
+
+
+@pytest.mark.parametrize(
+    "n", [1] + list(range(3, CYCLOTOMIC_CEILING + 1)), ids=lambda n: "Q" if n == 1 else f"Z{n}"
+)
+def test_split_prime_reduction_is_a_ring_map(n):
+    field = make_field(FieldDescriptor.rational() if n == 1 else FieldDescriptor.cyclotomic(n))
+    reduce = field.split_prime_reduction()
+    assert field.split_prime_reduction() is reduce  # memoized on the field
+    p = reduce.target.descriptor.p
+    # the least prime p = 1 (mod n) above the floor
+    assert is_prime(p) and p > SPLIT_PRIME_FLOOR and (p - 1) % n == 0
+    assert not any(is_prime(q) and (q - 1) % n == 0 for q in range(SPLIT_PRIME_FLOOR + 1, p))
+    if n > 1:
+        r = reduce(field.generator())
+        assert r**n == reduce.target.one()
+        assert all(r**k != reduce.target.one() for k in range(1, n))  # order exactly n
+    rng = random.Random(n)
+
+    def sample():
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(field.phi if n > 1 else 1)]
+        return field.from_coords(values) if n > 1 else field.from_fraction(values[0])
+
+    assert reduce(field.one()) == reduce.target.one() and reduce(field.zero()).is_zero()
+    for _ in range(20):
+        a, b = sample(), sample()
+        assert reduce(a + b) == reduce(a) + reduce(b)
+        assert reduce(a * b) == reduce(a) * reduce(b)
+        assert reduce(-a) == -reduce(a)
+    # p in a denominator is refused; in a numerator it reduces to zero
+    with pytest.raises(ZeroDivisionError):
+        reduce(field.from_fraction(Fraction(1, p)))
+    assert reduce(field.from_int(p)).is_zero()
+
+
+def test_split_prime_reduction_refusals(Q, Z5, F7):
+    with pytest.raises(ValueError):
+        F7.split_prime_reduction()
+    with pytest.raises(FieldMismatchError):
+        Q.split_prime_reduction()(Z5.generator())
 
 
 def test_sqrt_rational(Q):

@@ -1,6 +1,6 @@
 """Static hygiene of the package, read with the standard library's ast:
-no unused imports, no methods that nothing calls and no stored attributes
-that nothing reads."""
+no unused imports, no imports inside functions except cycle-breakers, no
+methods that nothing calls and no stored attributes that nothing reads."""
 
 import ast
 import os
@@ -13,6 +13,12 @@ PACKAGE = os.path.join(ROOT, "src", "planegalois")
 # Imports kept on purpose although the module does not use them.
 UNUSED_IMPORT_ALLOWLIST = {
     ("curves", "sylvester_det"): "bench/tests/test_bench.py pins the binding curves.sylvester_det",
+}
+
+# Imports inside functions, each breaking an import cycle: (module, imported module).
+FUNCTION_IMPORT_ALLOWLIST = {
+    ("fields", "parsing"): "parsing imports fields at module level (Field.parse)",
+    ("polynomials", "parsing"): "parsing imports polynomials at module level (MultiPoly.__repr__ and __str__)",
 }
 
 
@@ -67,6 +73,21 @@ def test_no_unused_imports(module):
                 if bound not in used and (module, bound) not in UNUSED_IMPORT_ALLOWLIST:
                     unused.append(bound)
     assert unused == []
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_no_function_level_imports(module):
+    """Imports sit at the top of the module, unless they break a cycle."""
+    tree = _parse(os.path.join(PACKAGE, f"{module}.py"))
+    inside = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    inside.append(node.module)
+                elif isinstance(node, ast.Import):
+                    inside.extend(alias.name for alias in node.names)
+    assert [name for name in inside if (module, name) not in FUNCTION_IMPORT_ALLOWLIST] == []
 
 
 def _attributes(load_only: bool = False) -> set:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from planegalois.linalg import mat_det, mat_inv, mat_mul, mat_vec, nullspace, solve_affine
+from planegalois.linalg import mat_det, mat_inv, mat_mul, mat_vec, nullspace, rref, solve_affine
 from planegalois.polynomials import Poly1, RatFunc, RatFuncField
 
 FIELDS = ["Q", "Z5", "F7"]
@@ -91,6 +91,61 @@ def test_solve_affine(name, request):
         bad = b[:2] + [b[2] + field.one()]
         assert solve_affine(A, bad, field) is None
     assert solve_affine([], [], field) == ([], [])
+
+
+def _reference_rref(rows, ring):
+    """Gauss-Jordan elimination updating every column of every row."""
+    work, pivots, rank = [list(r) for r in rows], [], 0
+    for col in range(len(work[0])):
+        pivot = next((r for r in range(rank, len(work)) if not work[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = work[rank][col].inverse()
+        work[rank] = [x * inv for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank:
+                work[r] = [x - work[r][col] * y for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+    return work, pivots
+
+
+@pytest.mark.parametrize("name", ["F7", "Z5", "Q(t)"])
+def test_rref_of_rank_deficient_matrices(name, request):
+    rng = random.Random(14)
+    if name == "Q(t)":
+        Q = request.getfixturevalue("Q")
+        ring, shapes = RatFuncField(Q), [(4, 5, 2), (5, 4, 3)]
+
+        def entry():
+            num = Poly1(Q, [Q.from_int(rng.randint(-2, 2)) for _ in range(2)])
+            return RatFunc(num, Poly1(Q, [Q.from_int(rng.randint(1, 2)), Q.one()]))
+
+    else:
+        ring, shapes = request.getfixturevalue(name), [(6, 7, 3), (7, 6, 4), (5, 5, 2)]
+
+        def entry():
+            return _entry(ring, rng)
+
+    for rows, cols, rank in shapes:
+        # A = B C with some zero entries in C, so pivot rows have gaps
+        B = [[entry() for _ in range(rank)] for _ in range(rows)]
+        C = [[entry() if rng.random() < 0.7 else ring.zero() for _ in range(cols)] for _ in range(rank)]
+        A = mat_mul(B, C)
+        reduced, pivots = rref(A, ring)
+        assert (reduced, pivots) == _reference_rref(A, ring)
+        assert len(pivots) <= rank and pivots == sorted(set(pivots))
+        for r, row in enumerate(reduced):
+            if r >= len(pivots):
+                assert all(x.is_zero() for x in row)
+                continue
+            assert all(x.is_zero() for x in row[: pivots[r]]) and row[pivots[r]] == ring.one()
+            assert all(reduced[s][pivots[r]].is_zero() for s in range(rows) if s != r)
+        kernel = nullspace(A, ring)
+        assert len(kernel) == cols - len(pivots)
+        for v in kernel:
+            assert mat_vec(A, v) == [ring.zero()] * rows
 
 
 def test_nullspace_over_rational_functions(Q):

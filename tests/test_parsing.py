@@ -75,6 +75,9 @@ def test_unary_minus_and_parens(Q):
     assert parse_poly("-X + Y", Q, XYZ) == parse_poly("Y - X", Q, XYZ)
     assert parse_poly("(X + Y)*(X - Y)", Q, XYZ) == parse_poly("X^2 - Y^2", Q, XYZ)
     assert parse_poly("(-1)*X", Q, XYZ) == -MultiPoly.variable(Q, XYZ, "X")
+    # a sign after a binary operator is refused; README says to write X^3 - 2*Y^3
+    with pytest.raises(ParseError, match="unexpected token '-'"):
+        parse_poly("X^3 + -2*Y^3", Q, XYZ)
 
 
 def test_parse_element(Z8, Q, F3):

@@ -155,10 +155,14 @@ MISMATCHED_FILES = [
         },
         "is not the equation of the parametrized curve",
     ),
+    # a JSON value other than an object
+    ([1, 2], "a scenario file holds one JSON object"),
 ]
 
 
-@pytest.mark.parametrize("data, message", MISMATCHED_FILES, ids=["cubic-omega-fermat", "conic", "reducible-multiple"])
+@pytest.mark.parametrize(
+    "data, message", MISMATCHED_FILES, ids=["cubic-omega-fermat", "conic", "reducible-multiple", "json-array"]
+)
 def test_implicit_and_param_of_different_curves_are_input_errors(data, message, capsys):
     path = _tmpfile(data)
     try:
@@ -198,6 +202,7 @@ def test_one_deciding_galois_route_verifies(field, generator, capsys):
             report = json.loads(capsys.readouterr().out)
             assert report["galois"] is True and report["status"] == "verified"
             assert report["summary"]["failed"] == 0
+            assert report["group_order"] == 3  # the extension degree, not a closure of the generator
     finally:
         os.unlink(path)
 
