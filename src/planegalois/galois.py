@@ -367,8 +367,9 @@ def mobius_solver(
     witness: found when its degree is at most the bound, NONE up to the
     bound above it.  For n <= 2 the kernel has dimension >= 2; the witness
     is the first nondegenerate member of the k-kernel of M's coefficient
-    system in the coefficients of v of degree <= the bound, and without one
-    the answer is NONE up to the bound.
+    system in the coefficients of v of degree <= D', for the least D' up to
+    the bound that has one, and without one the answer is NONE up to the
+    bound.
     """
     xn, xd = x_t.num, x_t.den
     sn, sd = sigma_x_t.num, sigma_x_t.den
@@ -396,22 +397,23 @@ def mobius_solver(
 
 
 def _bounded_mobius(M: List[List[Poly1]], field: Field, D: int) -> MobiusSolution:
-    """The first nondegenerate member of the k-kernel of M v = 0, in the
-    coefficients of the entries of v of degree <= D (entry j, y^i at column
-    j * (D + 1) + i)."""
-    height = max((len(e.coeffs) for row in M for e in row), default=0) + D
-    rows = [
-        [row[j][k - i] for j in range(4) for i in range(D + 1)]
-        for row in M
-        for k in range(height)
-    ]
-    kernel = nullspace(rows, field, width=4 * (D + 1))
-    solutions = [
-        tuple(Poly1(field, vec[j * (D + 1) : (j + 1) * (D + 1)]) for j in range(4)) for vec in kernel
-    ]
-    members = _nondegenerate(solutions)
-    if members:
-        return _found(_primitive(members[0]))
+    """A least-degree witness: for the least D' <= D whose k-kernel of M v = 0,
+    in the coefficients of the entries of v of degree <= D' (entry j, y^i at
+    column j * (D' + 1) + i), has a nondegenerate member, the first one."""
+    longest = max((len(e.coeffs) for row in M for e in row), default=0)
+    for d in range(D + 1):
+        rows = [
+            [row[j][k - i] for j in range(4) for i in range(d + 1)]
+            for row in M
+            for k in range(longest + d)
+        ]
+        kernel = nullspace(rows, field, width=4 * (d + 1))
+        solutions = [
+            tuple(Poly1(field, vec[j * (d + 1) : (j + 1) * (d + 1)]) for j in range(4)) for vec in kernel
+        ]
+        members = _nondegenerate(solutions)
+        if members:
+            return _found(_primitive(members[0]))
     return MobiusSolution("none_up_to_bound")
 
 

@@ -11,7 +11,7 @@ Degree of the zero polynomial is the distinguished sentinel NEG_INF.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .fields import Field, FieldElement, FieldMismatchError, _power
 from .linalg import mat_det
@@ -437,31 +437,66 @@ def _subresultant(fc: list, gc: list, one):
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Monic gcd via content/primitive-part recursion with subresultant PRS."""
+    """Monic gcd.  Inputs in one variable, and binary forms, take one
+    univariate Euclid over the field; anything else takes the
+    content/primitive-part recursion with the subresultant PRS, whose
+    contents have one variable fewer (binary forms, for ternary forms)."""
     f._check(g)
     if f.is_zero():
         return g.monic()
     if g.is_zero():
         return f.monic()
-    active = [v for v in f.vars if f.degree_in(v) > 0 or g.degree_in(v) > 0]
+    active = [i for i in range(len(f.vars)) if any(e[i] for e in f.terms) or any(e[i] for e in g.terms)]
     if not active:
         return MultiPoly.one(f.field, f.vars)
-    var = active[0]
+    if len(active) == 1:
+        return _euclid_gcd(f, g, active[0], None)
+    if len(active) == 2 and f.is_homogeneous() and g.is_homogeneous():
+        return _euclid_gcd(f, g, active[0], active[1])
+    var = f.vars[active[0]]
     fc = _dense_coeffs(f, var)
     gc = _dense_coeffs(g, var)
-    one = MultiPoly.one(f.field, f.vars)
-    if len(active) == 1:
-        return _from_dense(_subresultant(fc, gc, one)[1], f, var).monic()
     cont_f = _content(fc)
     cont_g = _content(gc)
     content = poly_gcd(cont_f, cont_g)
     fp = [exact_div(c, cont_f) for c in fc]
     gp = [exact_div(c, cont_g) for c in gc]
-    last = _subresultant(fp, gp, one)[1]
+    last = _subresultant(fp, gp, MultiPoly.one(f.field, f.vars))[1]
     last_content = _content(last)
     primitive = [exact_div(c, last_content) for c in last]
     result = _from_dense(primitive, f, var) * content
     return result.monic()
+
+
+def _euclid_gcd(f: MultiPoly, g: MultiPoly, ix: int, iy: Optional[int]) -> MultiPoly:
+    """Monic gcd of nonzero f and g in the one variable at index ix (iy is
+    None), or of binary forms in the variables at ix < iy.
+
+    Write f = y^a f1 and g = y^b g1 with y dividing neither f1 nor g1; then
+    gcd(f, g) = y^min(a, b) H, where H is the monic gcd of f(x, 1) and
+    g(x, 1) homogenized to its own degree.  Its grlex leading term is
+    x^deg(H) y^min(a, b), so the result is already monic."""
+    field = f.field
+
+    def split(p: MultiPoly) -> Tuple[Poly1, int]:
+        """p(x, 1) and the power of y that divides p."""
+        coeffs = [field.zero()] * (max(e[ix] for e in p.terms) + 1)
+        for e, c in p.terms.items():
+            coeffs[e[ix]] = c
+        return Poly1(field, coeffs), 0 if iy is None else min(e[iy] for e in p.terms)
+
+    (f1, a), (g1, b) = split(f), split(g)
+    H = f1.gcd(g1)
+    top = len(H.coeffs) - 1
+    shift = min(a, b)
+    terms = {}
+    for i, c in enumerate(H.coeffs):
+        e = [0] * len(f.vars)
+        e[ix] = i
+        if iy is not None:
+            e[iy] = shift + top - i
+        terms[tuple(e)] = c
+    return MultiPoly(field, f.vars, terms)
 
 
 def _content(coeffs: list) -> MultiPoly:
@@ -483,19 +518,12 @@ def _dense_coeffs(p: MultiPoly, var: str) -> list:
     return [by_power.get(k, zero) for k in range(int(d) + 1)]
 
 
-def _from_dense(coeffs: list, template: MultiPoly, var: str) -> MultiPoly:
+def _from_dense(coeffs: List[MultiPoly], template: MultiPoly, var: str) -> MultiPoly:
     i = template.vars.index(var)
     terms: Dict[Tuple[int, ...], FieldElement] = {}
     for k, c in enumerate(coeffs):
-        if isinstance(c, MultiPoly):
-            for e, v in c.terms.items():
-                key = e[:i] + (e[i] + k,) + e[i + 1 :]
-                terms[key] = v
-        else:
-            if not c.is_zero():
-                e = [0] * len(template.vars)
-                e[i] = k
-                terms[tuple(e)] = c
+        for e, v in c.terms.items():
+            terms[e[:i] + (e[i] + k,) + e[i + 1 :]] = v
     return MultiPoly(template.field, template.vars, terms)
 
 

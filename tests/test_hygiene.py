@@ -1,6 +1,7 @@
 """Static hygiene of the package, read with the standard library's ast:
 no unused imports, no imports inside functions except cycle-breakers, no
-methods that nothing calls and no stored attributes that nothing reads."""
+module-level functions or classes and no methods that nothing calls, and no
+stored attributes that nothing reads."""
 
 import ast
 import os
@@ -99,6 +100,27 @@ def _attributes(load_only: bool = False) -> set:
             if isinstance(n, ast.Attribute) and not (load_only and isinstance(n.ctx, ast.Store)):
                 attributes.add(n.attr)
     return attributes
+
+
+def test_every_module_level_definition_is_used_somewhere():
+    """Each module-level function and class of the package is loaded, by name
+    or as an attribute, somewhere in src/ (`__init__` re-exports do not
+    count), tests/ or bench/."""
+    loaded = set()
+    for path in _python_files("src", "tests", "bench"):
+        if path == os.path.join(PACKAGE, "__init__.py"):
+            continue
+        for n in ast.walk(_parse(path)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.attr)
+    unused = []
+    for module in _modules():
+        for node in _parse(os.path.join(PACKAGE, f"{module}.py")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in loaded:
+                unused.append(f"{module}.{node.name}")
+    assert unused == []
 
 
 def test_every_method_is_called_somewhere():

@@ -95,61 +95,124 @@ def test_gcd_examples(Q):
     assert poly_gcd(P("u^6 - v^6", Q, UV), P("u^2 + v^2", Q, UV)) == MultiPoly.one(Q, UV)
 
 
-def test_gcd_against_dehomogenized_euclid(Q, Z5):
-    # independent oracle: monic Euclid on the dehomogenization
-    rng = random.Random(3)
-    for field in (Q, Z5):
-        for _ in range(12):
-            a = _random_binary_form(field, rng, rng.randint(1, 3))
-            b = _random_binary_form(field, rng, rng.randint(1, 3))
-            c = _random_binary_form(field, rng, rng.randint(0, 2))
-            f, g = a * c, b * c
-            got = poly_gcd(f, g)
-            fa = f.to_poly1("u") if f.degree_in("v") in (NEG_INF, 0) else None
-            # dehomogenize in v and run Euclid, then compare degrees plus divisibility
-            t_f = _dehom(f, field)
-            t_g = _dehom(g, field)
-            euclid = t_f.gcd(t_g)
-            v_val_f = _v_valuation(f)
-            v_val_g = _v_valuation(g)
-            expected_degree = int(euclid.degree()) + min(v_val_f, v_val_g)
-            assert int(got.degree()) == expected_degree
-            assert exact_div(f, got) * got == f
-            assert exact_div(g, got) * got == g
+GCD_FIELDS = ["Q", "Z5", "F7", "F2"]
+
+# (ring variables, active variables, the variable y, homogeneous)
+GCD_SHAPES = [
+    (UV, ("u", "v"), "v", True),
+    (XYZ, ("Y", "Z"), "Z", True),
+    (XYZ, ("X", "Z"), "Z", True),
+    (XYZ, ("X", "Y"), "Y", True),
+    (XYZ, XYZ, "Z", True),
+    (XYZ, XYZ, "Y", True),
+    (("Y", "Z"), ("Y", "Z"), "Z", False),
+    (("y",), ("y",), "y", False),
+    (XYZ, ("X",), "X", False),
+]
+
+
+def _gcd_field(name, request):
+    return make_field(FieldDescriptor.prime(2)) if name == "F2" else request.getfixturevalue(name)
+
+
+def _coefficient(field, rng, low=-4, high=4):
+    c = field.from_int(rng.randint(low, high))
+    if field.kind == "cyclotomic":
+        c = c + field.generator() * field.from_int(rng.randint(-2, 2))
+    return c
+
+
+def _linear_factors(field, rng, vars, active, y, homogeneous, count):
+    """Up to `count` monic linear polynomials in the active variables
+    (homogeneous, or with a constant term), pairwise non-proportional and
+    none of them y."""
+    forbidden = {MultiPoly.variable(field, vars, y)}
+    out = []
+    for _ in range(60):
+        if len(out) == count:
+            break
+        terms = {}
+        for v in active:
+            e = [0] * len(vars)
+            e[vars.index(v)] = 1
+            terms[tuple(e)] = _coefficient(field, rng, -3, 3)
+        if not homogeneous:
+            terms[(0,) * len(vars)] = _coefficient(field, rng, -3, 3)
+        L = MultiPoly(field, vars, terms)
+        if L.is_constant():
+            continue
+        L = L.monic()
+        if L not in forbidden:
+            forbidden.add(L)
+            out.append(L)
+    return out
+
+
+def _random_cofactor(field, rng, vars, active, homogeneous, degree):
+    """A nonzero polynomial in the active variables: a form of the given
+    degree, or any polynomial of total degree at most it."""
+    terms = {}
+    for _ in range(4):
+        e = [0] * len(vars)
+        for _ in range(degree if homogeneous else rng.randint(0, degree)):
+            e[vars.index(rng.choice(active))] += 1
+        terms[tuple(e)] = _coefficient(field, rng)
+    C = MultiPoly(field, vars, terms)
+    return C if not C.is_zero() else MultiPoly.one(field, vars)
+
+
+def _product(field, vars, factors):
+    out = MultiPoly.one(field, vars)
+    for p in factors:
+        out = out * p
+    return out
+
+
+@pytest.mark.parametrize("name", GCD_FIELDS)
+def test_gcd_of_known_common_factor(name, request):
+    # oracle by construction: f = A*C*y^i and g = B*C*y^j, where A and B are
+    # products of pairwise non-proportional linear polynomials, none of them
+    # y, so gcd(f, g) = C*y^min(i, j)
+    field = _gcd_field(name, request)
+    rng = random.Random(1000 + field.characteristic + 7 * len(name))
+    for vars, active, y, homogeneous in GCD_SHAPES:
+        y_poly = MultiPoly.variable(field, vars, y)
+        for _ in range(6):
+            lines = _linear_factors(field, rng, vars, active, y, homogeneous, rng.randint(0, 4))
+            split = rng.randint(0, len(lines))
+            A = _product(field, vars, lines[:split])
+            B = _product(field, vars, lines[split:])
+            C = _random_cofactor(field, rng, vars, active, homogeneous, rng.randint(0, 2))
+            i, j = rng.randint(0, 3), rng.randint(0, 3)
+            f, g = A * C * y_poly**i, B * C * y_poly**j
+            expected = (C * y_poly ** min(i, j)).monic()
+            assert poly_gcd(f, g) == expected, (vars, active, f, g)
+            assert poly_gcd(g, f) == expected, (vars, active, f, g)
 
 
 def _random_binary_form(field, rng, degree):
     terms = {}
     for j in range(degree + 1):
-        c = rng.randint(-4, 4)
-        if c:
-            terms[(j, degree - j)] = field.from_int(c)
+        c = _coefficient(field, rng)
+        if not c.is_zero():
+            terms[(j, degree - j)] = c
     if not terms:
         terms[(degree, 0)] = field.one()
     return MultiPoly(field, UV, terms)
 
 
-def _dehom(form, field):
-    coeffs = {}
-    for e, c in form.terms.items():
-        coeffs[e[0]] = c
-    top = max(coeffs)
-    return Poly1(field, [coeffs.get(k, field.zero()) for k in range(top + 1)])
-
-
-def _v_valuation(form):
-    return int(form.degree()) - max(e[0] for e in form.terms)
-
-
-def test_gcd_cofactor_reconstruction_and_symmetry(Q):
+@pytest.mark.parametrize("name", GCD_FIELDS)
+def test_gcd_cofactor_reconstruction_and_symmetry(name, request):
+    field = _gcd_field(name, request)
     rng = random.Random(11)
     for _ in range(15):
-        a = _random_binary_form(Q, rng, rng.randint(1, 3))
-        b = _random_binary_form(Q, rng, rng.randint(1, 3))
+        a = _random_binary_form(field, rng, rng.randint(1, 3))
+        b = _random_binary_form(field, rng, rng.randint(1, 3))
         g1 = poly_gcd(a, b)
         g2 = poly_gcd(b, a)
         assert g1 == g2  # monic normalization kills the unit
         assert exact_div(a, g1) * g1 == a
+        assert exact_div(b, g1) * g1 == b
 
 
 def test_resultant_implicitizes_cubic(Q):

@@ -250,9 +250,11 @@ def test_verify_conic_over_f2():
     assert report["galois"] is True and report["group_order"] == 2
     verdicts = {e["label"]: e["verdict"] for e in report["extensions"]}
     assert verdicts == {"identity": "jonquieres", "generator": "jonquieres"}
+    # the least-degree witness: x -> x + 1, a linear map, although the
+    # default bound also admits x -> y^2/x and the quadratic [Y^2 : XY : XZ]
     witness = report["extensions"][1]["witness"]
-    assert witness[0]["mobius_over_base"] == {"alpha": "0", "beta": "y^2", "gamma": "1", "delta": "0"}
-    assert witness[1]["plane_map"] == ["Y^2", "X*Y", "X*Z"]
+    assert witness[0]["mobius_over_base"] == {"alpha": "1", "beta": "1", "gamma": "0", "delta": "1"}
+    assert witness[1]["plane_map"] == ["X + Z", "Y", "Z"]
 
 
 def test_param_only_f3_cubic_verifies(capsys):
