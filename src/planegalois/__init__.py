@@ -8,7 +8,6 @@ from .fields import (
     FieldElement,
     UNDETERMINED,
     make_field,
-    sqrt_in_field,
 )
 from .polynomials import MultiPoly, NEG_INF, Poly1, RatFunc, exact_div, poly_gcd, resultant
 from .parsing import ParseError, parse_element, parse_poly, render_poly

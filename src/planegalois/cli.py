@@ -15,7 +15,6 @@ from typing import Optional
 
 from .cremona import kodaira_pairing, line_equivalence_decision
 from .curves import multiplicity_implicit
-from .fields import SqrtBudget
 from .galois import deck_group_from_candidates
 from .parsing import ParseError, render_poly
 from .scenarios import (
@@ -42,7 +41,6 @@ _GLOBAL_DEFAULTS = {
     "json": False,
     "seed": 0,
     "degree_bound": None,
-    "precision_budget": None,
     "timings": False,
 }
 
@@ -52,11 +50,6 @@ def _global_flags() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, help="seed for randomized certificates")
     common.add_argument("--degree-bound", type=int, help="largest y-degree of a de Jonquieres witness")
-    common.add_argument(
-        "--precision-budget",
-        type=int,
-        help="denominator budget for numeric square-root reconstruction",
-    )
     common.add_argument("--timings", action="store_true", help="include wall-clock timings")
     return common
 
@@ -141,9 +134,6 @@ def run_command(argv) -> int:
     if args.degree_bound is not None and args.degree_bound < 0:
         print("input error: --degree-bound must be at least 0", file=sys.stderr)
         return EXIT_INPUT
-    if args.precision_budget is not None and args.precision_budget < 1:
-        print("input error: --precision-budget must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         if args.command == "verify":
             return _cmd_verify(args)
@@ -162,18 +152,10 @@ def run_command(argv) -> int:
         return EXIT_INPUT
 
 
-def _sqrt_budget(args):
-    if args.precision_budget is None:
-        return None
-    return SqrtBudget(max_denominator=args.precision_budget)
-
-
 def _cmd_verify(args) -> int:
     started = time.monotonic()
     scenario = load_scenario(args.scenario)
-    report = run_scenario(
-        scenario, seed=args.seed, degree_bound=args.degree_bound, sqrt_budget=_sqrt_budget(args)
-    )
+    report = run_scenario(scenario, seed=args.seed, degree_bound=args.degree_bound)
     if args.timings:
         report["elapsed_seconds"] = round(time.monotonic() - started, 3)
     _emit(report, args.json)
@@ -214,9 +196,7 @@ def _cmd_curve_info(args) -> int:
 
 def _cmd_galois_test(args) -> int:
     scenario = _scenario_for_file(args.file, args.point)
-    report = run_scenario(
-        scenario, seed=args.seed, degree_bound=args.degree_bound, sqrt_budget=_sqrt_budget(args)
-    )
+    report = run_scenario(scenario, seed=args.seed, degree_bound=args.degree_bound)
     _emit(report, args.json)
     return _exit_for(report)
 

@@ -6,14 +6,13 @@ multiplicity-bound searches.
 
 from __future__ import annotations
 
+import itertools
 import random
-from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .fields import Field, FieldElement, UNDETERMINED, Undetermined, is_prime, sqrt_in_field
+from .fields import Field, FieldElement, UNDETERMINED
 from .linalg import mat_det, mat_vec, nullspace
-from .polynomials import MultiPoly, NEG_INF, Poly1, exact_div, poly_gcd, resultant
+from .polynomials import MultiPoly, NEG_INF, Poly1, exact_div, poly_gcd, resultant, roots
 from .polynomials import sylvester_det  # noqa: F401  unused; bench/tests/test_bench.py pins curves.sylvester_det
 
 CURVE_VARS = ("X", "Y", "Z")
@@ -413,60 +412,79 @@ def _multiplicity_bound_search(C: PlaneCurve, m: int, seed: int) -> Multiplicity
     if p == 0:
         # A point of multiplicity >= m over the closure reduces to a common
         # zero of the reduced partials, so none mod p proves there is none.
-        # Only that False is taken; every other outcome goes on exactly.
+        # Only that False is sought: the stage ends at the first chart whose
+        # resultants share a factor, and the exact search goes on.
         reduction = field.split_prime_reduction()
         try:
             reduced = MultiPoly(reduction.target, F.vars, {e: reduction(c) for e, c in F.terms.items()})
         except ZeroDivisionError:  # the prime divides a denominator
             pass
         else:
-            modular = _resultant_search(reduced, m, random.Random(seed), seed)
-            if modular is not None and modular.verdict is False:
-                modular.certificate["prime"] = reduction.target.descriptor.p
-                return modular
-    return _resultant_search(F, m, rng, seed) or MultiplicityBoundResult(UNDETERMINED)
+            for attempt, M, H in _charts(reduced, m, random.Random(seed)):
+                common, pairs = _resultant_gcd(H)
+                if common is not None and common.degree() == 0:
+                    return _certificate(M, pairs, seed, attempt, prime=reduction.target.descriptor.p)
+                break
+    for attempt, M, H in _charts(F, m, rng):
+        common, pairs = _resultant_gcd(H)
+        if common is None or common.is_zero():
+            continue
+        if common.degree() == 0:
+            return _certificate(M, pairs, seed, attempt)
+        result = _witness_search(H, M, common)
+        if result is not None:
+            return result
+    return MultiplicityBoundResult(UNDETERMINED)
 
 
-def _resultant_search(F: MultiPoly, m: int, rng: random.Random, seed: int) -> Optional[MultiplicityBoundResult]:
-    """The resultant certificate in the first of five random charts that
-    moves no common zero of the order-(m-1) partials to [0:0:1]."""
+def _charts(F: MultiPoly, m: int, rng: random.Random):
+    """(attempt, M, H) for each of five random charts M that moves no common
+    zero of the order-(m-1) partials to [0:0:1]; H are the partials of F o M."""
     field = F.field
     origin = {"X": field.zero(), "Y": field.zero(), "Z": field.one()}
     for attempt in range(5):
         M = _random_invertible(field, rng)
         H = [g for g in _order_partials(substitute_matrix(F, M), m - 1) if not g.is_zero()]
-        if any(h.evaluate(origin).is_zero() for h in H):
-            continue
-        result = _resultant_certificate(H, M, seed=seed, attempt=attempt)
-        if result is not None:
-            return result
-    return None
+        if not any(h.evaluate(origin).is_zero() for h in H):
+            yield attempt, M, H
 
 
-def _resultant_certificate(H, M, seed, attempt):
-    field = H[0].field
+def _resultant_gcd(H) -> Tuple[Optional[MultiPoly], list]:
+    """The gcd of the pairwise Z-resultants of H, stopping at the first
+    constant one, and the pairs used; None when H has one member."""
     common = None
     pairs_used = []
-    for i in range(len(H)):
-        for j in range(i + 1, len(H)):
-            R = resultant(H[i], H[j], "Z")
-            pairs_used.append((i, j))
-            common = R if common is None else poly_gcd(common, R)
-            if common.degree() == 0:
-                return MultiplicityBoundResult(
-                    False,
-                    certificate={
-                        "matrix": M,
-                        "pairs": pairs_used,
-                        "method": "pairwise Z-resultants, gcd 1",
-                        "seed": seed,
-                        "attempt": attempt,
-                    },
-                )
-    # gcd has positive degree: look for ground-field candidates underneath it.
-    if common is None or common.is_zero():
-        return None
-    candidates, _complete = _binary_form_roots(common)
+    for i, j in itertools.combinations(range(len(H)), 2):
+        R = resultant(H[i], H[j], "Z")
+        pairs_used.append((i, j))
+        common = R if common is None else poly_gcd(common, R)
+        if common.degree() == 0:
+            break
+    return common, pairs_used
+
+
+def _certificate(M, pairs, seed, attempt, **extra) -> MultiplicityBoundResult:
+    return MultiplicityBoundResult(
+        False,
+        certificate={
+            "matrix": M,
+            "pairs": pairs,
+            "method": "pairwise Z-resultants, gcd 1",
+            "seed": seed,
+            "attempt": attempt,
+            **extra,
+        },
+    )
+
+
+def _witness_search(H, M, common: MultiPoly) -> Optional[MultiplicityBoundResult]:
+    """A common zero of H over a ground-field root [x0:y0] of the binary
+    form common in (X, Y), moved back by M."""
+    field = H[0].field
+    one, zero = field.one(), field.zero()
+    candidates = [(r, one) for r in roots(common.dehomogenize("Y").to_poly1("X"))[0]]
+    if common.evaluate({"X": one, "Y": zero}).is_zero():
+        candidates.insert(0, (one, zero))
     for x0, y0 in candidates:
         slices = [h.substitute({"X": x0, "Y": y0}).to_poly1("Z") for h in H]
         gz = None
@@ -476,21 +494,19 @@ def _resultant_certificate(H, M, seed, attempt):
                 break
         if gz is None or gz.degree() == 0:
             continue
-        if int(gz.degree()) >= 1:
-            z_roots, z_complete = _poly1_roots(gz)
-            for z0 in z_roots:
-                Q = ProjPoint(field, [x0, y0, z0])
-                coords = {v: c for v, c in zip(CURVE_VARS, Q.coords)}
-                if all(h.evaluate(coords).is_zero() for h in H):
-                    original = ProjPoint(field, mat_vec(M, list(Q.coords)))
-                    return MultiplicityBoundResult(True, witness=original)
-            # A common Z-root exists over the closure even without a
-            # ground-field representative: the point exists.
-            return MultiplicityBoundResult(
-                True,
-                witness=None,
-                certificate={"note": "common zero exists over an extension field"},
-            )
+        for z0 in roots(gz)[0]:
+            Q = ProjPoint(field, [x0, y0, z0])
+            coords = {v: c for v, c in zip(CURVE_VARS, Q.coords)}
+            if all(h.evaluate(coords).is_zero() for h in H):
+                original = ProjPoint(field, mat_vec(M, list(Q.coords)))
+                return MultiplicityBoundResult(True, witness=original)
+        # A common Z-root exists over the closure even without a
+        # ground-field representative: the point exists.
+        return MultiplicityBoundResult(
+            True,
+            witness=None,
+            certificate={"note": "common zero exists over an extension field"},
+        )
     return None
 
 
@@ -525,123 +541,3 @@ def _candidate_points(field: Field, rng: random.Random, count: int):
         triple = [rng.randint(-4, 4) for _ in range(3)]
         if any(triple):
             yield ProjPoint.from_ints(field, triple)
-
-
-# -- small exact root finding -------------------------------------------------
-
-
-def _binary_form_roots(B: MultiPoly) -> Tuple[List[Tuple[FieldElement, FieldElement]], bool]:
-    """Ground-field roots [x0:y0] of a binary form in (X, Y); (roots, complete)."""
-    field = B.field
-    one = field.one()
-    zero = field.zero()
-    roots = []
-    # Root at [1:0] iff Y divides ... iff B(1, 0) == 0.
-    if B.evaluate({"X": one, "Y": zero}).is_zero():
-        roots.append((one, zero))
-    t_roots, complete = _poly1_roots(B.dehomogenize("Y").to_poly1("X"))
-    for r in t_roots:
-        roots.append((r, one))
-    return roots, complete
-
-
-def _poly1_roots(g: Poly1) -> Tuple[List[FieldElement], bool]:
-    """Ground-field roots of a dense univariate polynomial; (roots, complete).
-
-    Complete for degree <= 2 (characteristic != 2) and for rational
-    coefficients via the rational root theorem; higher-degree factors over
-    other fields are reported incomplete rather than guessed.
-    """
-    field = g.ring
-    if g.is_zero():
-        return [], False
-    coeffs = list(g.coeffs)
-    roots = []
-    if coeffs and coeffs[0].is_zero():
-        roots.append(field.zero())
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-    g = Poly1(field, coeffs)
-    d = g.degree()
-    if d is NEG_INF or d == 0:
-        return roots, True
-    if field.kind == "prime":
-        if field.descriptor.p <= 997:
-            for k in range(field.descriptor.p):
-                x = field.from_int(k)
-                if g.evaluate(x).is_zero():
-                    roots.append(x)
-            return roots, True
-        return roots, False
-    if d == 1:
-        roots.append(-(g[0] / g[1]))
-        return roots, True
-    if d == 2:
-        a, b, c = g[2], g[1], g[0]
-        disc = b * b - field.from_int(4) * a * c
-        r = sqrt_in_field(disc)
-        if r is None:
-            return roots, True
-        if isinstance(r, Undetermined):
-            return roots, False
-        two_a = (a + a).inverse()
-        roots.append((-b + r) * two_a)
-        roots.append((-b - r) * two_a)
-        return roots, True
-    if field.kind == "rational":
-        found, complete = _rational_roots(g)
-        roots.extend(found)
-        return roots, complete
-    return roots, False
-
-
-def _rational_roots(g: Poly1) -> Tuple[List[FieldElement], bool]:
-    """Rational root theorem on the primitive integer model of g."""
-    field = g.ring
-    denominator = 1
-    for c in g.coeffs:
-        denominator = denominator * c.data.denominator // gcd(denominator, c.data.denominator)
-    ints = [int(c.data * denominator) for c in g.coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    ints = [c // content for c in ints]
-    lead, const = ints[-1], ints[0]
-    const_divs, const_complete = _divisors(abs(const))
-    lead_divs, lead_complete = _divisors(abs(lead))
-    roots = []
-    seen = set()
-    for num in const_divs:
-        for den in lead_divs:
-            for sign in (1, -1):
-                q = Fraction(sign * num, den)
-                if q in seen:
-                    continue
-                seen.add(q)
-                x = field.from_fraction(q)
-                if g.evaluate(x).is_zero():
-                    roots.append(x)
-    return roots, const_complete and lead_complete
-
-
-def _divisors(n: int, bound: int = 10**6) -> Tuple[List[int], bool]:
-    if n == 0:
-        return [1], True
-    factors: Dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m and p <= bound:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    complete = True
-    if m > 1:
-        # Trial division up to bound leaves a cofactor m <= bound**2 prime.
-        factors[m] = factors.get(m, 0) + 1
-        if m > bound * bound:
-            complete = is_prime(m) if m < 2**63 else False
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [d * prime**k for d in divs for k in range(mult + 1)]
-    return sorted(set(divs)), complete

@@ -14,17 +14,16 @@ between threads:
 - F_p: a residue in [0, p).
 
 `Fraction` appears in cyclotomic arithmetic only where a rational value goes
-in or out: `from_fraction`, `from_coords`, `inverse`, `embed` and `__str__`.
+in or out: `from_fraction`, `from_coords`, `inverse` and `__str__`.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Optional, Sequence, Union
+from math import gcd, lcm
+from typing import Sequence
 
 CYCLOTOMIC_CEILING = 64
 SPLIT_PRIME_FLOOR = 1000  # split primes are the least ones above this constant
@@ -196,13 +195,16 @@ class Field:
             raise ValueError(f"unknown field kind {kind!r}")
         self.descriptor = descriptor
         self.kind = kind
-        self._split_prime_reduction = None
+        self._split_prime_reductions = []
 
-    def split_prime_reduction(self) -> "SplitPrimeReduction":
-        """The reduction modulo this field's split prime, built on first use."""
-        if self._split_prime_reduction is None:
-            self._split_prime_reduction = SplitPrimeReduction(self)
-        return self._split_prime_reduction
+    def split_prime_reduction(self, index: int = 0) -> "SplitPrimeReduction":
+        """The reduction modulo this field's index-th split prime (counting
+        from 0 upwards from SPLIT_PRIME_FLOOR), built on first use."""
+        reductions = self._split_prime_reductions
+        while len(reductions) <= index:
+            after = reductions[-1].target.descriptor.p if reductions else SPLIT_PRIME_FLOOR
+            reductions.append(SplitPrimeReduction(self, after))
+        return reductions[index]
 
     @property
     def characteristic(self) -> int:
@@ -405,19 +407,6 @@ class FieldElement:
     def __hash__(self):
         return hash((self.field.descriptor, self.data))
 
-    def embed(self, k: int = 1) -> complex:
-        """Image under the complex embedding zeta |-> exp(2*pi*i*k/n)."""
-        kind = self.field.kind
-        if kind == "rational":
-            return complex(self.data)
-        if kind == "prime":
-            raise ValueError("prime fields have no complex embedding")
-        n = self.field.descriptor.n
-        return sum(
-            complex(c) * cmath.exp(2j * cmath.pi * k * j / n)
-            for j, c in enumerate(self._coords())
-        )
-
     def __str__(self):
         kind = self.field.kind
         if kind == "rational":
@@ -465,20 +454,20 @@ def _cyclotomic(field: Field, coords: tuple, den: int) -> FieldElement:
 class SplitPrimeReduction:
     """Reduction of Q or Q(zeta_n) modulo a prime of degree one.
 
-    The prime p is the least one above SPLIT_PRIME_FLOOR with p = 1 (mod n)
-    (n = 1 for Q), and zeta maps to a primitive n-th root of unity r mod p,
+    The prime p is the least one above `after` with p = 1 (mod n) (n = 1
+    for Q), and zeta maps to a primitive n-th root of unity r mod p (`root`),
     a root of Phi_n mod p.  So the map Z[zeta] -> F_p, zeta -> r, is a ring
     homomorphism, extended to every element whose denominator p does not
     divide; the others are refused (Brown, JACM 18, 1971; Cohen, GTM 138).
     """
 
-    __slots__ = ("source", "target", "_powers")
+    __slots__ = ("source", "target", "root", "_powers")
 
-    def __init__(self, field: Field):
+    def __init__(self, field: Field, after: int):
         if field.kind == "prime":
             raise ValueError("prime fields have no split-prime reduction")
         n = field.n if field.kind == "cyclotomic" else 1
-        p = next(q for q in itertools.count(SPLIT_PRIME_FLOOR + 1) if (q - 1) % n == 0 and is_prime(q))
+        p = next(q for q in itertools.count(after + 1) if (q - 1) % n == 0 and is_prime(q))
         # r = a^((p - 1)/n) has order dividing n; it is primitive when no
         # r^(n/q) for a prime q | n is 1.
         prime_divisors = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
@@ -486,6 +475,7 @@ class SplitPrimeReduction:
         root = next(r for r in powers if all(pow(r, n // q, p) != 1 for q in prime_divisors))
         self.source = field.descriptor
         self.target = make_field(FieldDescriptor.prime(p))
+        self.root = root
         self._powers = tuple(pow(root, j, p) for j in range(field.phi if n > 1 else 1))
 
     def __call__(self, c: FieldElement) -> FieldElement:
@@ -545,91 +535,3 @@ def _frac_poly_sub(a: list, b: list) -> list:
         (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
         for i in range(size)
     ]
-
-
-_SQRT_MAX_DEGREE = 16  # largest phi(n) the square-root search attempts
-
-
-@dataclass(frozen=True)
-class SqrtBudget:
-    """Limits for the numeric-reconstruct-verify square-root search."""
-
-    max_denominator: int = 10**9
-
-
-def sqrt_in_field(
-    c: FieldElement, budget: Optional[SqrtBudget] = None
-) -> Union[FieldElement, None, Undetermined]:
-    """Exact square root of c, or None (proven absent, rationals only), or
-    UNDETERMINED when reconstruction fails within the budget.
-
-    The numeric step only proposes candidates; soundness comes from the exact
-    verification r*r == c.
-    """
-    budget = budget or SqrtBudget()
-    field = c.field
-    if field.characteristic != 0:
-        raise ValueError("square roots are only provided in characteristic 0")
-    if c.is_zero():
-        return field.zero()
-    if field.kind == "rational":
-        q = c.data
-        if q < 0:
-            return None
-        radicand = q.numerator * q.denominator
-        r = isqrt(radicand)
-        if r * r == radicand:
-            return field.from_fraction(Fraction(r, q.denominator))
-        return None
-
-    phi = field.phi
-    if phi > _SQRT_MAX_DEGREE:
-        return UNDETERMINED
-    n = field.descriptor.n
-    units = [k for k in range(1, n) if gcd(k, n) == 1]
-    # Conjugate embedding pairs (k, n - k); choose one sign per pair.
-    reps = [k for k in units if k < n - k]
-    values = {k: c.embed(k) for k in units}
-    columns = [
-        [cmath.exp(2j * cmath.pi * k * j / n) for j in range(phi)] for k in units
-    ]
-    for signs in itertools.product((1, -1), repeat=len(reps)):
-        target = {}
-        for s, k in zip(signs, reps):
-            w = s * cmath.sqrt(values[k])
-            target[k] = w
-            target[n - k] = w.conjugate()
-        rhs = [target[k] for k in units]
-        coords = _solve_complex(columns, rhs)
-        if coords is None:
-            continue
-        try:
-            candidate = field.from_coords(
-                [
-                    Fraction(x.real).limit_denominator(budget.max_denominator)
-                    for x in coords
-                ]
-            )
-        except (OverflowError, ValueError):
-            continue
-        if candidate * candidate == c:
-            return candidate
-    return UNDETERMINED
-
-
-def _solve_complex(rows: list, rhs: list) -> Optional[list]:
-    """Gaussian elimination over the complex doubles; None if near-singular."""
-    m = len(rhs)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    for col in range(m):
-        pivot = max(range(col, m), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot][col]) < 1e-12:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][m] for i in range(m)]

@@ -27,7 +27,7 @@ from .curves import (
     pullback_line,
     substitute_matrix,
 )
-from .fields import Field, FieldElement, UNDETERMINED, Undetermined, sqrt_in_field
+from .fields import Field, FieldElement, UNDETERMINED, Undetermined
 from .linalg import mat_inv, mat_vec, nullspace, solve_affine
 from .maps import (
     LineMobius,
@@ -45,6 +45,7 @@ from .polynomials import (
     exact_div,
     poly_gcd,
     pseudo_rem,
+    roots,
 )
 
 
@@ -182,7 +183,7 @@ def _mobius_sort_key(g: LineMobius):
 # -- low-degree Galois decision ------------------------------------------------
 
 
-def galois_test_low_degree(model: ProjectionModel, sqrt_budget=None) -> GaloisCertificate:
+def galois_test_low_degree(model: ProjectionModel) -> GaloisCertificate:
     """Degree 1: trivially Galois.  Degree 2: Galois iff separable.
     Degree 3 (char != 2): Galois iff the discriminant is a square in k(y),
     by the square test reduced to a constant-field square root."""
@@ -203,13 +204,13 @@ def galois_test_low_degree(model: ProjectionModel, sqrt_budget=None) -> GaloisCe
     disc = _cubic_discriminant(a2, a1, a0)
     if disc.is_zero():
         raise ValueError("fiber polynomial is not separable (vanishing discriminant)")
-    verdict, root = _poly_is_square(disc.num * disc.den, sqrt_budget)
+    verdict, root = _poly_is_square(disc.num * disc.den)
     details = {"discriminant": disc, "square_root": root}
     if verdict is True:
         return GaloisCertificate(3, "galois", method="discriminant is a square in k(y)", details=details)
     if verdict is False:
         return GaloisCertificate(3, "not_galois", method="discriminant is not a square in k(y)", details=details)
-    return GaloisCertificate(3, "undetermined", method="square test hit the reconstruction budget", details=details)
+    return GaloisCertificate(3, "undetermined", method="square test undecided at every prime tried", details=details)
 
 
 def _monic_cubic_coefficients(model: ProjectionModel) -> Tuple[RatFunc, RatFunc, RatFunc]:
@@ -231,46 +232,9 @@ def _cubic_discriminant(a2: RatFunc, a1: RatFunc, a0: RatFunc) -> RatFunc:
     )
 
 
-def _sqrt_const(c: FieldElement, budget=None) -> Union[FieldElement, None, Undetermined]:
-    field = c.field
-    if field.characteristic == 0:
-        return sqrt_in_field(c, budget)
-    p = field.descriptor.p
-    if p == 2:
-        return UNDETERMINED
-    a = c.data
-    if a == 0:
-        return field.zero()
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    return field.from_int(_tonelli_shanks(a, p))
-
-
-def _tonelli_shanks(a: int, p: int) -> int:
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, temp = 0, t
-        while temp != 1:
-            temp = temp * temp % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _poly_is_square(P: Poly1, budget=None) -> Tuple[Union[bool, Undetermined], Optional[Poly1]]:
-    """Is P a square in k[y]?  Solves for the square root top-down (char != 2),
-    delegating the leading constant to the constant-field square root."""
+def _poly_is_square(P: Poly1) -> Tuple[Union[bool, Undetermined], Optional[Poly1]]:
+    """Is P a square in k[y]?  Solves for the square root top-down (char != 2)
+    from the greatest root of T^2 - lc(P) in k (`roots` order)."""
     field = P.ring
     if P.is_zero():
         return True, P
@@ -279,11 +243,10 @@ def _poly_is_square(P: Poly1, budget=None) -> Tuple[Union[bool, Undetermined], O
         return False, None
     if field.characteristic == 2:
         return UNDETERMINED, None
-    lead_root = _sqrt_const(P.lc(), budget)
-    if lead_root is None:
-        return False, None
-    if isinstance(lead_root, Undetermined):
-        return UNDETERMINED, None
+    lead_roots, complete = roots(Poly1(field, [-P.lc(), field.zero(), field.one()]))
+    if not lead_roots:
+        return (False if complete else UNDETERMINED), None
+    lead_root = lead_roots[-1]
     m = int(d) // 2
     h = [field.zero()] * (m + 1)
     h[m] = lead_root

@@ -138,3 +138,60 @@ def solve_affine(rows: List[List], rhs: List, ring) -> Optional[Tuple[List, List
     for r, pc in enumerate(pivots):
         particular[pc] = reduced[r][cols]
     return particular, _kernel(reduced, pivots, cols, ring)
+
+
+def lll_reduce(basis: Sequence[Sequence[int]]) -> List[List[int]]:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by linearly
+    independent integer rows, by the all-integer algorithm of Cohen, GTM 138,
+    Alg. 2.6.7: d[i] is the Gram determinant of the first i rows and
+    lam[k][j] = d[j + 1] * mu[k][j], so every division below is exact."""
+    b = [list(row) for row in basis]
+    n = len(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        size_reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            mu = lam[k][k - 1]
+            swapped = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+                lam[i][k - 1] = (swapped * t + mu * lam[i][k]) // d[k + 1]
+            d[k] = swapped
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b

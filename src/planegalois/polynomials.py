@@ -11,10 +11,12 @@ Degree of the zero polynomial is the distinguished sentinel NEG_INF.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import isqrt, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .fields import Field, FieldElement, FieldMismatchError, _power
-from .linalg import mat_det
+from .fields import Field, FieldElement, FieldMismatchError, _power, cyclotomic_polynomial
+from .linalg import lll_reduce, mat_det
 
 NEG_INF = float("-inf")
 
@@ -757,6 +759,207 @@ class Poly1:
                 e[i] = k
                 terms[tuple(e)] = c
         return MultiPoly(field, vars, terms)
+
+
+# -- roots in the coefficient field ------------------------------------------
+
+
+def roots(g: Poly1) -> Tuple[List[FieldElement], bool]:
+    """(roots, complete): the distinct roots of g in its field F_p, Q or
+    Q(zeta_n), ascending by value over F_p (as residues) and Q, and by
+    power-basis coordinates, lexicographically, over Q(zeta_n).  `complete`
+    says they are all of them; it is False for g = 0.
+
+    Over F_p they are the roots of gcd(g, x^p - x), always complete.  Over Q
+    and Q(zeta_n), the squarefree part f of g is reduced modulo the split
+    primes (`Field.split_prime_reduction`), skipping any that divides a
+    denominator of the monic f or leaves it not squarefree; at the others
+    the roots of f map injectively to its roots mod p.  So a prime with no
+    root proves that g has none.  The roots mod the first prime with roots
+    are lifted and recovered (`_recover`), each checked exactly, and they
+    are complete once their number equals the least root count mod p met.
+    The walk tries at most 32 deg f primes: when the factor of f without
+    roots in the field is irreducible, at least a 1/deg f share of primes
+    leaves it without roots mod p (Cameron and Cohen 1992; Chebotarev), so
+    a walk that misses them all has a chance below e^-32."""
+    field = g.ring
+    if g.is_zero():
+        return [], False
+    if field.kind == "prime":
+        return [field.from_int(r) for r in sorted(_roots_mod_p([c.data for c in g.coeffs], field.descriptor.p))], True
+    f = g.exact_div(g.gcd(g.derivative())).monic()
+    if f.degree() < 1:
+        return [], True
+    coords = [c._coords() if field.kind == "cyclotomic" else (c.data,) for c in f.coeffs]
+    scale = lcm(*(a.denominator for c in coords for a in c))
+    integral = [[int(a * scale) for a in c] for c in coords]  # coordinates of scale * f, in Z
+    found, fewest, tried, index = None, None, 0, 0
+    while tried < 32 * f.degree():
+        reduction = field.split_prime_reduction(index)
+        index += 1
+        p = reduction.target.descriptor.p
+        try:
+            fbar = [reduction(c).data for c in f.coeffs]
+        except ZeroDivisionError:  # the prime divides a denominator
+            continue
+        if len(_gcd_mod_p(fbar, [i * c % p for i, c in enumerate(fbar)][1:], p)) > 1:
+            continue  # f is not squarefree mod p
+        tried += 1
+        residues = _roots_mod_p(fbar, p)
+        if not residues:
+            return [], True
+        if found is None:
+            found = sorted(_recover(f, integral, scale, reduction, residues), key=_root_key)
+        fewest = len(residues) if fewest is None else min(fewest, len(residues))
+        if len(found) == fewest:
+            return found, True
+    return found or [], False
+
+
+def _root_key(c: FieldElement):
+    return c._coords() if c.field.kind == "cyclotomic" else c.data
+
+
+# Dense polynomials over F_p below are ascending lists of ints in [0, p),
+# without trailing zeros; a divisor is monic.
+
+
+def _roots_mod_p(g: List[int], p: int) -> List[int]:
+    """Roots of g over F_p: those of h = gcd(g, x^p - x), split by the gcds
+    with (x + a)^((p - 1)/2) - 1 for a = 0, 1, ... (Cantor and Zassenhaus
+    1981); over F_2, h divides x^2 + x."""
+    g = _monic_mod_p(g, p)
+    if len(g) < 2:
+        return []
+    xp = _powmod_mod_p([0, 1], p, g, p) + [0, 0]
+    xp[1] -= 1
+    h = _gcd_mod_p(g, xp, p)
+    if p == 2:
+        return [r for r in (0, 1) if sum(c * r**i for i, c in enumerate(h)) % 2 == 0]
+    found, pending = [], [h]
+    while pending:
+        h = pending.pop()
+        if len(h) == 2:
+            found.append(-h[0] % p)
+        elif len(h) > 2:
+            # Two distinct roots always differ in quadratic character
+            # after some shift a, so the loop splits h before it ends.
+            for a in range(p):
+                power = _powmod_mod_p([a, 1], (p - 1) // 2, h, p) or [0]
+                power[0] -= 1
+                part = _gcd_mod_p(h, power, p)
+                if 2 <= len(part) < len(h):
+                    pending += [part, _divmod_mod_p(h, part, p)[0]]
+                    break
+    return found
+
+
+def _monic_mod_p(a: List[int], p: int) -> List[int]:
+    a = _trim_mod_p(a, p)
+    inv = pow(a[-1], -1, p) if a else 1
+    return [c * inv % p for c in a]
+
+
+def _divmod_mod_p(a: List[int], m: List[int], p: int) -> Tuple[List[int], List[int]]:
+    a, dm = list(a), len(m) - 1
+    quotient = [0] * max(len(a) - dm, 0)
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] % p
+        if c:
+            quotient[i - dm] = c
+            for j in range(dm):
+                a[i - dm + j] -= c * m[j]
+    return quotient, _trim_mod_p(a[:dm], p)
+
+
+def _trim_mod_p(a: List[int], p: int) -> List[int]:
+    a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _gcd_mod_p(a: List[int], b: List[int], p: int) -> List[int]:
+    """Monic gcd; [] when both are zero."""
+    a, b = _monic_mod_p(a, p), _monic_mod_p(b, p)
+    while b:
+        a, b = b, _monic_mod_p(_divmod_mod_p(a, b, p)[1], p)
+    return a
+
+
+def _powmod_mod_p(base: List[int], e: int, m: List[int], p: int) -> List[int]:
+    def mulmod(u, v):
+        out = [0] * (len(u) + len(v) - 1) if u and v else []
+        for i, x in enumerate(u):
+            if x:
+                for j, y in enumerate(v):
+                    out[i + j] += x * y
+        return _divmod_mod_p(out, m, p)[1]
+
+    result, base = _divmod_mod_p([1], m, p)[1], _divmod_mod_p(base, m, p)[1]
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        e >>= 1
+        if e:
+            base = mulmod(base, base)
+    return result
+
+
+def _recover(f: Poly1, integral: list, scale: int, reduction, residues: List[int]) -> List[FieldElement]:
+    """The roots of f in Q(zeta_n) (or Q) over the given simple roots mod p.
+    A root alpha makes beta = scale * alpha an algebraic integer, with
+    |beta| <= C = scale + max ||c_i||_1 at every embedding (Cauchy's bound),
+    so its coordinate vector b has ||b||^2 <= bound = phi C^2 (for
+    prime-power n, whose power basis has a trace form with least eigenvalue
+    >= 1).  Lift the root and zeta's image r to p^k and reduce the lattice
+    of the (b, m) with b(r) = beta(r) mod p^k (Kannan's embedding) by LLL.
+    Every nonzero b with b(r) = 0 mod p^k has ||b||^2 >= p^(2k/phi)/phi; so
+    once that exceeds 16 times the target's squared norm, (b, m) is the
+    shortest vector up to sign (Cohen, GTM 138, sections 2.6 and 3.6)."""
+    field = f.ring
+    p = reduction.target.descriptor.p
+    phi = len(integral[0])
+    bound = phi * (scale + max(sum(abs(a) for a in c) for c in integral[:-1])) ** 2
+    m = isqrt(bound) + 1
+    k, floor = 1, (16 * phi * (bound + m * m)) ** phi
+    while p ** (2 * k) <= floor:
+        k += 1
+    modulus = p**k
+    zeta = _hensel_root(cyclotomic_polynomial(field.n), reduction.root, p, modulus) if phi > 1 else 1
+    powers = [pow(zeta, j, modulus) for j in range(phi)]
+    coeffs = [sum(a * w for a, w in zip(c, powers)) % modulus for c in integral]
+    lattice = [[modulus] + [0] * phi] + [
+        [-powers[j] % modulus] + [int(i == j) for i in range(1, phi)] + [0] for j in range(1, phi)
+    ]
+    found = []
+    for r in residues:
+        beta = scale * _hensel_root(coeffs, r, p, modulus) % modulus
+        for row in lll_reduce(lattice + [[beta] + [0] * (phi - 1) + [m]]):
+            if abs(row[-1]) == m:
+                b = [x if row[-1] > 0 else -x for x in row[:phi]]
+                if field.kind == "cyclotomic":
+                    candidate = field.from_coords([Fraction(x, scale) for x in b])
+                else:
+                    candidate = field.from_fraction(Fraction(b[0], scale))
+                if candidate not in found and f.evaluate(candidate).is_zero():
+                    found.append(candidate)
+    return found
+
+
+def _hensel_root(coeffs: Sequence[int], r: int, p: int, modulus: int) -> int:
+    """The root mod modulus = p^k of the integer polynomial coeffs
+    (ascending) above its simple root r mod p, by Newton's iteration, which
+    squares the modulus the root is known to at each step."""
+    known = p
+    while known < modulus:
+        value = derivative = 0
+        for c in reversed(coeffs):
+            derivative = (derivative * r + value) % modulus
+            value = (value * r + c) % modulus
+        r = (r - value * pow(derivative, -1, modulus)) % modulus
+        known *= known
+    return r
 
 
 # -- rational functions -------------------------------------------------------

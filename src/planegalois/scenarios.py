@@ -426,7 +426,6 @@ def run_scenario(
     scenario: Scenario,
     seed: int = 0,
     degree_bound: Optional[int] = None,
-    sqrt_budget=None,
 ) -> dict:
     """Full verification pipeline; returns a deterministic report dict."""
     checks: List[dict] = []
@@ -486,7 +485,7 @@ def run_scenario(
     if n <= 3:
         model = projection_model(C, P)
         try:
-            low = galois_test_low_degree(model, sqrt_budget=sqrt_budget)
+            low = galois_test_low_degree(model)
         except ValueError as exc:  # an inseparable fiber polynomial: the curve is not reduced
             raise ScenarioError(f"degenerate projection: {exc}") from exc
         report["low_degree_method"] = low.method

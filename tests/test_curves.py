@@ -16,12 +16,10 @@ from planegalois.curves import (
     multiplicity_implicit,
     multiplicity_param,
     parametrization_from_affine,
-    _divisors,
-    _poly1_roots,
 )
 from planegalois.linalg import mat_det, mat_vec
 from planegalois.parsing import parse_poly
-from planegalois.polynomials import MultiPoly, resultant
+from planegalois.polynomials import MultiPoly, resultant, roots
 
 QUARTIC = "X^4 - 4*Z*Y*X^2 - Z*Y^3 + 2*Z^2*Y^2 - Y*Z^3"
 CUBIC = "X^3 - 3*X*Y*Z - Y^2*Z - Y*Z^2"
@@ -298,30 +296,31 @@ def test_multiplicity_bound_falls_back_to_exact_search(name, request):
 
 
 def test_only_a_false_is_taken_modulo_the_split_prime(Q, monkeypatch):
-    # a modular True (here forced) is not a proof: the exact search decides
-    exact = curves._resultant_certificate
+    # the node [5:7:1] is off the candidate grid, so the resultants share a
+    # factor modulo p as well; that ends the modular stage, and only the
+    # exact stage searches for a witness
+    calls = []
+    gcds, witnesses = curves._resultant_gcd, curves._witness_search
 
-    def forced(H, M, seed, attempt):
-        if H[0].field.kind == "prime":
-            return MultiplicityBoundResult(True, witness=None)
-        return exact(H, M, seed, attempt)
+    def record(name, fn):
+        def wrapper(H, *args):
+            calls.append((name, H[0].field.kind))
+            return fn(H, *args)
 
-    monkeypatch.setattr(curves, "_resultant_certificate", forced)
-    conic = curve_from_implicit(parse_poly("X^2 + Y^2 + Z^2", Q, CURVE_VARS))
-    res = has_point_of_multiplicity_ge(conic, 2, seed=0)
-    assert res.verdict is False and "prime" not in res.certificate
+        return wrapper
+
+    monkeypatch.setattr(curves, "_resultant_gcd", record("gcd", gcds))
+    monkeypatch.setattr(curves, "_witness_search", record("witness", witnesses))
+    nodal = curve_from_implicit(parse_poly("(Y - 7*Z)^2*Z - (X - 5*Z)^2*(X - 4*Z)", Q, CURVE_VARS))
+    res = has_point_of_multiplicity_ge(nodal, 2, seed=0)
+    assert res.verdict is True and res.witness == ProjPoint.from_ints(Q, (5, 7, 1))
+    assert calls[0] == ("gcd", "prime") and ("gcd", "prime") not in calls[1:]
+    assert ("witness", "prime") not in calls and ("witness", "rational") in calls
 
 
 def test_rational_root_tail_of_the_multiplicity_bound_search(Q):
     g = parse_poly("(2*x - 1)*(x + 3)*(x^2 + 1)", Q, ("x",)).to_poly1("x")
-    roots, complete = _poly1_roots(g)
-    assert set(roots) == {Q.parse("1/2"), Q.parse("-3")}
-    assert complete
-    assert _divisors(12) == ([1, 2, 3, 4, 6, 12], True)
-    assert _divisors(0) == ([1], True)
-    # a cofactor above 10^12 survives trial division: composite means incomplete
-    assert _divisors(2 * 1000003 * 1000033)[1] is False
-    assert _divisors(2 * 1000000000039) == ([1, 2, 1000000000039, 2000000000078], True)
+    assert roots(g) == ([Q.parse("-3"), Q.parse("1/2")], True)
 
 
 def test_has_point_characteristic_guard(F3):

@@ -17,8 +17,8 @@ from planegalois.fields import (
     cyclotomic_polynomial,
     is_prime,
     make_field,
-    sqrt_in_field,
 )
+from planegalois.polynomials import Poly1, roots
 
 
 def test_make_field_cyclotomic_4(Z4):
@@ -183,6 +183,13 @@ def test_split_prime_reduction_is_a_ring_map(n):
     with pytest.raises(ZeroDivisionError):
         reduce(field.from_fraction(Fraction(1, p)))
     assert reduce(field.from_int(p)).is_zero()
+    # the walk's next reduction is at the next split prime, with its own root
+    following = field.split_prime_reduction(1)
+    q = following.target.descriptor.p
+    assert field.split_prime_reduction(1) is following
+    assert not any(is_prime(k) and (k - 1) % n == 0 for k in range(p + 1, q)) and (q - 1) % n == 0
+    if n > 1:
+        assert following(field.generator()).data == following.root and pow(following.root, n, q) == 1
 
 
 def test_split_prime_reduction_refusals(Q, Z5, F7):
@@ -192,49 +199,53 @@ def test_split_prime_reduction_refusals(Q, Z5, F7):
         Q.split_prime_reduction()(Z5.generator())
 
 
+def _square_roots(c):
+    """(roots, complete) of T^2 - c."""
+    field = c.field
+    return roots(Poly1(field, [-c, field.zero(), field.one()]))
+
+
 def test_sqrt_rational(Q):
-    assert sqrt_in_field(Q.from_int(4)) == Q.from_int(2)
-    assert sqrt_in_field(Q.from_int(-1)) is None
-    assert sqrt_in_field(Q.from_fraction(Fraction(9, 4))) == Q.from_fraction(Fraction(3, 2))
-    assert sqrt_in_field(Q.from_int(2)) is None
-    assert sqrt_in_field(Q.zero()) == Q.zero()
+    assert _square_roots(Q.from_int(4)) == ([Q.from_int(-2), Q.from_int(2)], True)
+    assert _square_roots(Q.from_int(-1)) == ([], True)
+    assert _square_roots(Q.from_fraction(Fraction(9, 4)))[0][-1] == Q.from_fraction(Fraction(3, 2))
+    assert _square_roots(Q.from_int(2)) == ([], True)
+    assert _square_roots(Q.zero()) == ([Q.zero()], True)
 
 
 def test_sqrt_minus_27_in_z3(Z3):
-    r = sqrt_in_field(Z3.from_int(-27))
-    assert isinstance(r, FieldElement)
-    assert r * r == Z3.from_int(-27)
-    # the stated root: 3(2w + 1) up to sign
+    found, complete = _square_roots(Z3.from_int(-27))
+    # the stated root: 3(2w + 1), with its negative
     w = Z3.generator()
     stated = Z3.from_int(3) * (Z3.from_int(2) * w + Z3.one())
-    assert r == stated or r == -stated
+    assert complete and set(found) == {stated, -stated}
 
 
 def test_sqrt_two_in_z8(Z8):
-    r = sqrt_in_field(Z8.from_int(2))
-    assert isinstance(r, FieldElement)
-    assert r * r == Z8.from_int(2)
+    z = Z8.generator()
+    found, complete = _square_roots(Z8.from_int(2))
+    assert complete and set(found) == {z - z**3, z**3 - z}
 
 
 def test_sqrt_of_random_squares(Z3, Z5, Q):
     rng = random.Random(99)
-    for field in (Q, Z3, Z5):
-        for _ in range(10):
+    for field in (Q, Z3, Z5, make_field(FieldDescriptor.cyclotomic(19))):
+        for _ in range(10 if field.phi <= 4 else 2) if field.kind == "cyclotomic" else range(10):
             if field.kind == "cyclotomic":
                 r = field.from_coords(
                     [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(field.phi)]
                 )
             else:
                 r = field.from_fraction(Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
-            square = r * r
-            s = sqrt_in_field(square)
-            assert isinstance(s, FieldElement), f"no root found for {square} in {field}"
-            assert s * s == square
+            found, complete = _square_roots(r * r)
+            assert complete and set(found) == {r, -r}, f"roots of T^2 - {r * r} in {field}"
 
 
-def test_sqrt_rejects_prime_fields(F3):
-    with pytest.raises(ValueError):
-        sqrt_in_field(F3.from_int(1))
+def test_sqrt_above_the_old_degree_cap():
+    Z51 = make_field(FieldDescriptor.cyclotomic(51))  # phi = 32
+    z = Z51.generator()
+    root = Z51.from_int(12) * z**17 + Z51.from_int(6)
+    assert _square_roots(Z51.from_int(-108)) == ([-root, root], True)  # ascending coordinates: -6 before 6
 
 
 def test_undetermined_has_no_truth_value():

@@ -167,3 +167,27 @@ def test_every_stored_attribute_is_read_somewhere():
             if isinstance(cls, ast.ClassDef):
                 unread.extend(f"{module}.{cls.name}.{name}" for name in _stored_on_self(cls) if name not in read)
     assert unread == []
+
+
+def test_no_floating_point():
+    """No module imports cmath or calls complex() or float(); the one
+    exception is the degree sentinel polynomials.NEG_INF = float("-inf")."""
+    found = []
+    for module in _modules():
+        tree = _parse(os.path.join(PACKAGE, f"{module}.py"))
+        allowed = {
+            id(node.value)
+            for node in ast.walk(tree)
+            if module == "polynomials"
+            and isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["NEG_INF"]
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [f"{module}: import {a.name}" for a in node.names if a.name == "cmath"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "cmath":
+                found.append(f"{module}: from cmath import")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("complex", "float"):
+                if id(node) not in allowed:
+                    found.append(f"{module}:{node.lineno}: {node.func.id}()")
+    assert found == []

@@ -13,6 +13,7 @@ from planegalois.polynomials import (
     exact_div,
     poly_gcd,
     resultant,
+    roots,
     sylvester_det,
 )
 
@@ -407,3 +408,50 @@ def test_parser_renderer_roundtrip_random(Q, Z3, F3):
                     terms[e] = c
             p = MultiPoly(field, XYZ, terms)
             assert parse_poly(render_poly(p), field, XYZ) == p
+
+
+@pytest.mark.parametrize(
+    "name, known",
+    [
+        ("Q", ["-3", "1/2", "7/2"]),
+        ("Z5", ["-2*z", "1/3*z^3", "z^2 + 1"]),  # ascending power-basis coordinates
+        ("F1009", ["3", "500", "1000"]),
+    ],
+)
+def test_roots_of_linear_factors_times_an_irreducible_cubic(name, known):
+    # x^3 - 2 has no root in Q, in Q(zeta_5) (its roots have degree 3) or
+    # in F_1009 (2 is not a cube mod 1009); one linear factor is squared
+    if name == "Q":
+        field = make_field(FieldDescriptor.rational())
+    elif name == "Z5":
+        field = make_field(FieldDescriptor.cyclotomic(5))
+    else:
+        field = make_field(FieldDescriptor.prime(1009))
+    x = Poly1.x(field)
+    expected = [field.parse(t) for t in known]
+    g = Poly1(field, [field.from_int(-12), field.zero(), field.zero(), field.from_int(6)])  # 6 (x^3 - 2)
+    for i, r in enumerate(expected):
+        g = g * (x - Poly1.const(field, r)) ** (2 if i == 0 else 1)
+    assert roots(g) == (expected, True)
+    assert roots(Poly1(field, [field.from_int(-2), field.zero(), field.zero(), field.one()])) == ([], True)
+    assert roots(Poly1(field, [field.from_int(5)])) == ([], True)
+    assert roots(Poly1.zero(field)) == ([], False)
+
+
+def test_roots_stay_incomplete_without_a_refuting_prime(Q):
+    # one of 2, 3 and 6 is a square mod every prime, so (x^2 - 2)(x^2 - 3)(x^2 - 6)
+    # has a root mod every prime and no root in Q: the count never proves 1 complete
+    g = P("(x - 1)*(x^2 - 2)*(x^2 - 3)*(x^2 - 6)", Q, ("x",)).to_poly1("x")
+    assert roots(g) == ([Q.one()], False)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_roots_mod_p_match_exhaustive_search(p):
+    field = make_field(FieldDescriptor.prime(p))
+    rng = random.Random(p)
+    for _ in range(40):
+        g = Poly1(field, [field.from_int(rng.randrange(p)) for _ in range(rng.randint(1, 8))])
+        if g.is_zero():
+            continue
+        expected = [field.from_int(a) for a in range(p) if g.evaluate(field.from_int(a)).is_zero()]
+        assert roots(g) == (expected, True)

@@ -92,7 +92,10 @@ def test_run_command_exit_codes():
     assert run_command(["verify", "cubic-omega"]) == EXIT_OK
     # numeric flags out of range are input errors, not failed verifications
     assert run_command(["verify", "cubic-omega", "--degree-bound", "-1"]) == EXIT_INPUT
-    assert run_command(["verify", "cubic-omega", "--precision-budget", "0"]) == EXIT_INPUT
+    # the retired --precision-budget is an unknown flag, refused by argparse
+    with pytest.raises(SystemExit) as exc:
+        run_command(["verify", "cubic-omega", "--precision-budget", "0"])
+    assert exc.value.code == EXIT_INPUT
     path = _tmpfile(CONIC_FILE)
     try:
         assert run_command(["galois", "test", path, "--point", "1,0,0"]) == EXIT_OK
@@ -185,12 +188,13 @@ CUBIC_OMEGA_PARAM = ["u*v^2 + u^2*v", "u^3", "v^3"]
 @pytest.mark.parametrize(
     "field, generator",
     [
-        # a deck group of order 3; the square test is undetermined, phi(51) = 32 > 16
+        # a deck group of order 3, and the discriminant a square: both routes
+        # decide over Q(zeta_51), phi = 32, and must agree
         ({"kind": "cyclotomic", "n": 51}, [["z^17", "0"], ["0", "1"]]),
         # not a deck map, so the deck route is undetermined; the discriminant decides
         ({"kind": "cyclotomic", "n": 3}, [["1", "0"], ["0", "-1"]]),
     ],
-    ids=["deck-decides", "discriminant-decides"],
+    ids=["both-decide", "discriminant-decides"],
 )
 def test_one_deciding_galois_route_verifies(field, generator, capsys):
     path = _tmpfile(
@@ -203,6 +207,30 @@ def test_one_deciding_galois_route_verifies(field, generator, capsys):
             assert report["galois"] is True and report["status"] == "verified"
             assert report["summary"]["failed"] == 0
             assert report["group_order"] == 3  # the extension degree, not a closure of the generator
+            assert report["low_degree_method"] == "discriminant is a square in k(y)"
+    finally:
+        os.unlink(path)
+
+
+@pytest.mark.parametrize(
+    "n, implicit",
+    [
+        (5, "X^3 - Y^2*Z - 2*Z^3"),  # not Galois over Q; it was undetermined over Q(zeta_5)
+        (4, "X^3 + Y^3 + Z^3"),
+        (5, "X^3 - 2*Y^3 + Y*Z^2 + 3*Z^3"),
+        (8, "X^3 + Y^2*Z - Z^3"),
+    ],
+)
+def test_kummer_cubics_without_cube_roots_of_unity_are_not_galois(n, implicit, capsys):
+    # x^3 = G(y) is Galois over k(y) iff the discriminant -27 G^2 is a square,
+    # iff -3 is a square in k, iff zeta_3 lies in Q(zeta_n), iff 3 | n
+    path = _tmpfile({"field": {"kind": "cyclotomic", "n": n}, "curve": {"implicit": implicit}, "point": ["1", "0", "0"]})
+    try:
+        for argv in (["verify", path], ["galois", "test", path, "--point", "1,0,0"]):
+            assert run_command(argv + ["--json"]) == EXIT_OK, argv
+            report = json.loads(capsys.readouterr().out)
+            assert report["galois"] is False and report["status"] == "verified"
+            assert report["galois_method"] == "discriminant is not a square in k(y)"
     finally:
         os.unlink(path)
 
