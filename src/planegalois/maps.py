@@ -197,13 +197,14 @@ class PlaneRationalMap:
         degrees = {int(c.degree()) for c in nonzero}
         if len(degrees) != 1:
             raise ValueError("components must share one degree")
-        common = nonzero[0]
-        for c in nonzero[1:]:
-            common = poly_gcd(common, c)
-            if common.degree() == 0:
-                break
-        if common.degree() not in (NEG_INF, 0):
-            components = [exact_div(c, common) if not c.is_zero() else c for c in components]
+        if not _coprime_on_line(nonzero, degrees.pop()):
+            common = nonzero[0]
+            for c in nonzero[1:]:
+                common = poly_gcd(common, c)
+                if common.degree() == 0:
+                    break
+            if common.degree() not in (NEG_INF, 0):
+                components = [exact_div(c, common) if not c.is_zero() else c for c in components]
         lead = next(c for c in components if not c.is_zero()).leading_coefficient()
         inv = lead.inverse()
         components = [c.scale(inv) for c in components]
@@ -275,6 +276,29 @@ class PlaneRationalMap:
 
     def __repr__(self):
         return "[" + " : ".join(str(c) for c in self.components) + "]"
+
+
+def _coprime_on_line(forms: Sequence[MultiPoly], degree: int) -> bool:
+    """True when the restrictions of the forms to the line Z = X + 2Y (a line
+    in every characteristic) prove them coprime: a common factor of positive
+    degree restricts to a nonconstant common factor, or to zero.  At
+    [x : 1 : x + 2] they are univariate, and all vanish at [1 : 0 : 1] iff
+    none keeps the full degree."""
+    field = forms[0].field
+    shift = Poly1(field, [field.from_int(2), field.one()])
+    common, full = None, False
+    for form in forms:
+        parts = {}  # Z-degree -> coefficients of the X-powers, at Y = 1
+        for (a, _, k), c in form.terms.items():
+            parts.setdefault(k, [field.zero()] * (degree + 1))[a] = c
+        restricted = Poly1.zero(field)
+        for k in range(max(parts), -1, -1):
+            restricted = restricted * shift + Poly1(field, parts.get(k, ()))
+        common = restricted if common is None else common.gcd(restricted)
+        full = full or restricted.degree() == degree
+        if full and common.degree() == 0:
+            return True
+    return False
 
 
 def proportional_eq(fs: Sequence, gs: Sequence) -> bool:

@@ -775,9 +775,11 @@ def roots(g: Poly1) -> Tuple[List[FieldElement], bool]:
     primes (`Field.split_prime_reduction`), skipping any that divides a
     denominator of the monic f or leaves it not squarefree; at the others
     the roots of f map injectively to its roots mod p.  So a prime with no
-    root proves that g has none.  The roots mod the first prime with roots
-    are lifted and recovered (`_recover`), each checked exactly, and they
-    are complete once their number equals the least root count mod p met.
+    root proves that g has none.  Roots are counted mod the first three
+    such primes before any lift; those mod the first of them with fewest
+    roots are lifted and recovered (`_recover`), each checked exactly, and
+    they are complete once their number equals the least root count mod p
+    met.
     The walk tries at most 32 deg f primes: when the factor of f without
     roots in the field is irreducible, at least a 1/deg f share of primes
     leaves it without roots mod p (Cameron and Cohen 1992; Chebotarev), so
@@ -793,7 +795,7 @@ def roots(g: Poly1) -> Tuple[List[FieldElement], bool]:
     coords = [c._coords() if field.kind == "cyclotomic" else (c.data,) for c in f.coeffs]
     scale = lcm(*(a.denominator for c in coords for a in c))
     integral = [[int(a * scale) for a in c] for c in coords]  # coordinates of scale * f, in Z
-    found, fewest, tried, index = None, None, 0, 0
+    found, fewest, tried, index, counted = None, None, 0, 0, []
     while tried < 32 * f.degree():
         reduction = field.split_prime_reduction(index)
         index += 1
@@ -808,9 +810,13 @@ def roots(g: Poly1) -> Tuple[List[FieldElement], bool]:
         residues = _roots_mod_p(fbar, p)
         if not residues:
             return [], True
-        if found is None:
-            found = sorted(_recover(f, integral, scale, reduction, residues), key=_root_key)
         fewest = len(residues) if fewest is None else min(fewest, len(residues))
+        if found is None:
+            counted.append((reduction, residues))
+            if len(counted) < 3:
+                continue
+            reduction, residues = min(counted, key=lambda c: len(c[1]))
+            found = sorted(_recover(f, integral, scale, reduction, residues), key=_root_key)
         if len(found) == fewest:
             return found, True
     return found or [], False

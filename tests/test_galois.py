@@ -13,6 +13,8 @@ from planegalois.curves import (
     parametrization_from_affine,
 )
 from planegalois.galois import (
+    _verify_jonquieres,
+    _witness_checks,
     cubic_sigma_polynomial_form,
     deck_group_from_candidates,
     deck_verify,
@@ -586,3 +588,24 @@ def test_deck_verify_conjugation_stable(Z8):
         P_moved = ProjPoint(Z8, mat_vec(M, list(P.coords)))
         assert deck_verify(moved.param, P_moved, g) == deck_verify(quartic.param, P, g)
         assert deck_verify(moved.param, P_moved, bad) == deck_verify(quartic.param, P, bad)
+
+
+@pytest.mark.parametrize("name, witness_of, checked_as", [("quartic-i", 2, 1), ("cubic-omega", 1, 2)])
+def test_witness_of_another_deck_element_is_refused(name, witness_of, checked_as):
+    """The de Jonquieres witness J of g^witness_of maps C onto itself, yet it
+    does not restrict to g^checked_as: the one restriction check refuses it."""
+    scenario = load_scenario(name)
+    C, P, g = scenario.curve, scenario.point, scenario.generators[0]
+    phi = C.param
+    powers = {1: g, 2: g.compose(g)}
+    cert = deck_group_from_candidates(phi, P, [g])
+    reports = {r.element: r for r in extension_verdict(C, P, cert, seed=0)}
+    right, wrong = powers[witness_of], powers[checked_as]
+    assert reports[right].verdict == "jonquieres"
+    J = reports[right].witness[1]
+    j_phi = [c.substitute(dict(zip(CURVE_VARS, phi.forms))) for c in J.components]
+    assert C.implicit.substitute(dict(zip(CURVE_VARS, j_phi))).is_zero()  # J maps C onto itself
+    assert _witness_checks(phi, right, J)
+    assert not _witness_checks(phi, wrong, J)
+    with pytest.raises(RuntimeError, match="does not restrict to the deck action"):
+        _verify_jonquieres(P, phi, wrong, J)

@@ -1,5 +1,6 @@
 """Static hygiene of the package, read with the standard library's ast:
 no unused imports, no imports inside functions except cycle-breakers, no
+module-level imports beyond a fixed standard-library set, no
 module-level functions or classes and no methods that nothing calls, and no
 stored attributes that nothing reads."""
 
@@ -89,6 +90,32 @@ def test_no_function_level_imports(module):
                 elif isinstance(node, ast.Import):
                     inside.extend(alias.name for alias in node.names)
     assert [name for name in inside if (module, name) not in FUNCTION_IMPORT_ALLOWLIST] == []
+
+
+# The standard-library modules the package imports at module level.  Each
+# set-up that runs without bytecode compiles every imported module, so a new
+# one (or module-level work) is paid at every start of the program.
+STDLIB_IMPORTS = {"argparse", "dataclasses", "fractions", "itertools", "json", "math", "random", "sys", "time", "typing"}
+
+
+@pytest.mark.parametrize("module", _modules())
+def test_module_level_imports_stay_within_the_standard_set(module):
+    """Imports outside functions (under a top-level `if` or `try` too) are
+    package modules, `__future__` or STDLIB_IMPORTS."""
+    tree = _parse(os.path.join(PACKAGE, f"{module}.py"))
+    in_functions = {
+        id(n) for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in ast.walk(fn)
+    }
+    outside = []
+    for node in ast.walk(tree):
+        if id(node) in in_functions:
+            continue
+        if isinstance(node, ast.Import):
+            outside += [a.name for a in node.names if a.name.split(".")[0] not in STDLIB_IMPORTS]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module != "__future__":
+            if node.module.split(".")[0] not in STDLIB_IMPORTS:
+                outside.append(node.module)
+    assert outside == []
 
 
 def _attributes(load_only: bool = False) -> set:

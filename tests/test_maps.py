@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import planegalois.maps
 from planegalois.curves import (
     CURVE_VARS,
     PARAM_VARS,
@@ -9,6 +10,7 @@ from planegalois.curves import (
     curve_from_implicit,
     multiplicity_implicit,
 )
+from planegalois.fields import FieldDescriptor, make_field
 from planegalois.linalg import mat_det, mat_inv
 from planegalois.maps import (
     LineMobius,
@@ -19,6 +21,7 @@ from planegalois.maps import (
     std_quadratic_pushforward,
 )
 from planegalois.parsing import parse_poly
+from planegalois.polynomials import MultiPoly, exact_div, poly_gcd
 
 QUARTIC = "X^4 - 4*Z*Y*X^2 - Z*Y^3 + 2*Z^2*Y^2 - Y*Z^3"
 
@@ -275,3 +278,74 @@ def test_line_mobius_basics(Q):
         LineMobius(Q, ((Q.one(), Q.one()), (Q.one(), Q.one())))
     swap = LineMobius(Q, ((Q.zero(), Q.one()), (Q.one(), Q.zero())))
     assert swap.order() == 2
+
+
+def _line_form(field):
+    """Z - X - 2Y, the form of the line on which PlaneRationalMap tests coprimality."""
+    return parse_poly("Z - X - 2*Y", field, CURVE_VARS)
+
+
+@pytest.mark.parametrize("name", ["Q", "Z5", "F7", "F2"])
+def test_common_factor_vanishing_on_the_line_is_cleared(name, request):
+    field = make_field(FieldDescriptor.prime(2)) if name == "F2" else request.getfixturevalue(name)
+    L = _line_form(field)
+    xs = [MultiPoly.variable(field, CURVE_VARS, v) for v in CURVE_VARS]
+    for factor in (L, L * L * xs[0]):
+        reduced = PlaneRationalMap([x * factor for x in xs])
+        assert reduced.components == PlaneRationalMap.identity(field).components
+
+
+def test_base_point_on_the_line_falls_back_to_the_full_gcd(Q, monkeypatch):
+    # sigma o (X - Z, Y, Z) has the base point [1:0:1] on Z = X + 2Y, so the
+    # restrictions share a root and only the trivariate gcd proves coprimality
+    forms = [parse_poly(t, Q, CURVE_VARS) for t in ("Y*Z", "X*Z - Z^2", "X*Y - Y*Z")]
+    calls = []
+
+    def counting_gcd(f, g):
+        calls.append((f, g))
+        return poly_gcd(f, g)
+
+    monkeypatch.setattr(planegalois.maps, "poly_gcd", counting_gcd)
+    assert PlaneRationalMap(forms).components == tuple(forms)
+    assert calls
+
+
+def _reduced_by_gcd(forms):
+    """The forms over their explicit poly_gcd, scaled so the first nonzero one is monic."""
+    common = None
+    for f in forms:
+        if not f.is_zero():
+            common = f if common is None else poly_gcd(common, f)
+    forms = [exact_div(f, common) if not f.is_zero() else f for f in forms]
+    lead = next(f for f in forms if not f.is_zero()).leading_coefficient().inverse()
+    return tuple(f.scale(lead) for f in forms)
+
+
+@pytest.mark.parametrize("name", ["Q", "Z5", "F7", "F2"])
+def test_random_compositions_match_an_explicit_gcd_reduction(name, request):
+    """Random words in linear maps (signed permutations among them, which move
+    the base points of sigma onto each other) and sigma, composed without
+    reduction, reduce to the same components as an explicit gcd reduction."""
+    field = make_field(FieldDescriptor.prime(2)) if name == "F2" else request.getfixturevalue(name)
+    rng = random.Random(f"compose/{name}")
+    sigma = PlaneRationalMap.standard_quadratic(field)
+    xs = [MultiPoly.variable(field, CURVE_VARS, v) for v in CURVE_VARS]
+    shared = coprime = 0
+    for _ in range(12):
+        forms = list(xs)
+        for step in range(rng.randint(2, 4)):
+            if step % 2:
+                M = sigma
+            elif rng.random() < 0.5:
+                M = PlaneRationalMap.from_matrix(field, _rand_matrix(field, rng, span=2))
+            else:
+                M = PlaneRationalMap([xs[i].scale(field.from_int(rng.choice((1, -1)))) for i in rng.sample(range(3), 3)])
+            sub = dict(zip(CURVE_VARS, forms))
+            forms = [c.substitute(sub) for c in M.components]
+        want = _reduced_by_gcd(forms)
+        assert PlaneRationalMap(forms).components == want
+        if want[0].degree() < forms[0].degree():
+            shared += 1
+        else:
+            coprime += 1
+    assert shared and coprime

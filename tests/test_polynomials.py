@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from planegalois import polynomials
 from planegalois.fields import FieldDescriptor, FieldMismatchError, make_field
 from planegalois.parsing import parse_poly, render_poly
 from planegalois.polynomials import (
@@ -443,6 +444,22 @@ def test_roots_stay_incomplete_without_a_refuting_prime(Q):
     # has a root mod every prime and no root in Q: the count never proves 1 complete
     g = P("(x - 1)*(x^2 - 2)*(x^2 - 3)*(x^2 - 6)", Q, ("x",)).to_poly1("x")
     assert roots(g) == ([Q.one()], False)
+
+
+@pytest.mark.parametrize("c", [-7, 2])
+def test_roots_refute_a_non_square_before_any_lift(c, monkeypatch):
+    # Q(zeta_19)'s only quadratic subfield is Q(sqrt(-19)), so c is not a
+    # square; c is a square mod the first split prime (and 2 mod the second
+    # too), and a non-square mod a later one of the first three
+    field = make_field(FieldDescriptor.cyclotomic(19))
+    ps = [field.split_prime_reduction(i).target.descriptor.p for i in range(3)]
+    assert pow(c % ps[0], (ps[0] - 1) // 2, ps[0]) == 1
+    assert any(pow(c % p, (p - 1) // 2, p) != 1 for p in ps[1:])
+    lifts = []
+    monkeypatch.setattr(polynomials, "lll_reduce", lambda basis: lifts.append(basis))
+    g = Poly1(field, [field.from_int(-c), field.zero(), field.one()])
+    assert roots(g) == ([], True)
+    assert lifts == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
