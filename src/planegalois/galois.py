@@ -44,6 +44,7 @@ from .polynomials import (
     clear_denominators,
     exact_div,
     poly_gcd,
+    primitive,
     pseudo_rem,
     roots,
 )
@@ -353,7 +354,7 @@ def mobius_solver(
     members = _nondegenerate([clear_denominators(v) for v in kernel])
     if not members:
         return MobiusSolution("none_proven")
-    witness = _primitive(members[0])
+    witness = primitive(members[0])
     if max(int(e.degree()) for e in witness if not e.is_zero()) > degree_bound:
         return MobiusSolution("none_up_to_bound")
     return _found(witness)
@@ -376,7 +377,7 @@ def _bounded_mobius(M: List[List[Poly1]], field: Field, D: int) -> MobiusSolutio
         ]
         members = _nondegenerate(solutions)
         if members:
-            return _found(_primitive(members[0]))
+            return _found(primitive(members[0]))
     return MobiusSolution("none_up_to_bound")
 
 
@@ -399,25 +400,12 @@ def _nondegenerate(solutions: Sequence[Tuple[Poly1, Poly1, Poly1, Poly1]]) -> Li
     return []
 
 
-def _primitive(polys: Sequence[Poly1]) -> Tuple[Poly1, ...]:
-    """The polynomials divided by the monic gcd of their nonzero members."""
-    content = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        content = p if content is None else content.gcd(p)
-        if content.degree() == 0:
-            return tuple(polys)
-    content = content.monic()
-    return tuple(p.exact_div(content) for p in polys)
-
-
 def _found(parts: Tuple[Poly1, Poly1, Poly1, Poly1]) -> MobiusSolution:
     """The primitive witness (alpha, beta, gamma, delta) in its canonical
     scaling: the first nonzero entry of (beta, alpha, delta, gamma) monic."""
     lead = next(p for p in (parts[1], parts[0], parts[3], parts[2]) if not p.is_zero())
     inv = lead.lc().inverse()
-    return MobiusSolution("found", MobiusOverBase.from_polynomials([p.scale(inv) for p in parts]))
+    return MobiusSolution("found", MobiusOverBase([p.scale(inv) for p in parts]))
 
 
 def default_degree_bound(model: ProjectionModel) -> int:
@@ -453,26 +441,22 @@ def lemma31_formulas(
     if lhs != rhs:
         raise ValueError("congruence check failed: nu is not an automorphism's polynomial form")
     try:
-        return MobiusOverBase((alpha, beta, gamma, delta))
+        return MobiusOverBase(clear_denominators((alpha, beta, gamma, delta)))
     except ValueError as exc:
         raise ValueError("formulas produced a degenerate Moebius: nu does not describe an automorphism") from exc
 
 
-def cubic_sigma_polynomial_form(model: ProjectionModel) -> Optional[Tuple[RatFunc, RatFunc, RatFunc]]:
+def cubic_sigma_polynomial_form(
+    model: ProjectionModel, certificate: GaloisCertificate
+) -> Optional[Tuple[RatFunc, RatFunc, RatFunc]]:
     """Polynomial form (nu2, nu1, nu0) of an order-3 generator for a Galois
-    cubic model, from the square root of the discriminant: the conjugate root
-    is (-(a2 + x) + sqrt(disc) / f'(x)) / 2."""
+    cubic model, from the square root of the discriminant that the degree-3
+    certificate carries (never issued in characteristic 2): the conjugate
+    root is (-(a2 + x) + sqrt(disc) / f'(x)) / 2."""
     base_field = model.fiber_poly.field
-    if base_field.characteristic == 2:
-        return None
     a2, a1, a0 = _monic_cubic_coefficients(model)
-    disc = _cubic_discriminant(a2, a1, a0)
-    if disc.is_zero():
-        return None
-    ok, root = _poly_is_square(disc.num * disc.den)
-    if ok is not True:
-        return None
-    delta_rf = RatFunc(root, disc.den)
+    disc = certificate.details["discriminant"]
+    delta_rf = RatFunc(certificate.details["square_root"], disc.den)
     ring = RatFuncField(base_field)
     f = Poly1(ring, [a0, a1, a2, ring.one()])
     f_prime = f.derivative()
@@ -499,7 +483,7 @@ def cubic_sigma_polynomial_form(model: ProjectionModel) -> Optional[Tuple[RatFun
 def jonquieres_builder(mob: MobiusOverBase, P: ProjPoint, field: Field) -> PlaneRationalMap:
     """Plane map fixing the pencil through P and acting on the chart fiber
     coordinate by the given Moebius transformation."""
-    A, B, Cc, Dd = mob.cleared()
+    A, B, Cc, Dd = mob.entries
     M = max(int(x.degree()) for x in (A, B, Cc, Dd) if not x.is_zero())
     Ah, Bh, Ch, Dh = (p.to_multipoly(field, CURVE_VARS, "Y").homogenize("Z", M) for p in (A, B, Cc, Dd))
     X = MultiPoly.variable(field, CURVE_VARS, "X")
@@ -658,7 +642,7 @@ def extension_verdict(
     if not certificate.group:
         # Algebraic certificates carry no explicit deck maps; report on
         # abstract group elements instead.
-        return [identity("identity")] + _sigma_power_reports(model)
+        return [identity("identity")] + _sigma_power_reports(model, certificate)
     reports: List[ElementReport] = []
     multip_ok = None  # lazily computed Lemma-multip hypothesis
     chain_transport = None  # cached (forward parametrization data) per chain
@@ -717,7 +701,7 @@ def extension_verdict(
     return reports
 
 
-def _sigma_power_reports(model: ProjectionModel) -> List[ElementReport]:
+def _sigma_power_reports(model: ProjectionModel, certificate: GaloisCertificate) -> List[ElementReport]:
     """Reports on sigma^k, 0 < k < n, for a curve without deck maps.
 
     sigma's Moebius map is built once, when the extension degree n is at
@@ -725,11 +709,10 @@ def _sigma_power_reports(model: ProjectionModel) -> List[ElementReport]:
     field = model.fiber_poly.field
     degree = model.ext_degree
     labels = [f"sigma^{k}" if k > 1 else "sigma" for k in range(1, degree)]
-    nu = cubic_sigma_polynomial_form(model) if degree == 3 else None
+    nu = cubic_sigma_polynomial_form(model, certificate) if degree == 3 else None
     if degree == 2:
-        coeffs = model.monic_coefficients()
-        ring = RatFuncField(field)
-        mob = MobiusOverBase((-(ring.one()), -coeffs[1], ring.zero(), ring.one()))
+        a1 = model.monic_coefficients()[1]
+        mob = MobiusOverBase((-a1.den, -a1.num, Poly1.zero(field), a1.den))
         notes = "x -> -x - a1"
     elif nu is not None:
         mob = lemma31_formulas(_monic_cubic_coefficients(model), nu)

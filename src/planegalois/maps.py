@@ -2,9 +2,10 @@
 
 PlaneRationalMap holds three coprime homogeneous forms; LineMobius a 2x2
 matrix acting on [u:v]; MobiusOverBase a fractional-linear transformation in
-the fiber coordinate whose entries are rational functions of the base
-coordinate.  Pushforwards cover linear maps and the standard quadratic
-involution [X:Y:Z] -> [YZ:XZ:XY]; general Cremona images are out of scope.
+the fiber coordinate whose entries are four coprime polynomials in the base
+coordinate, read projectively.  Pushforwards cover linear maps and the
+standard quadratic involution [X:Y:Z] -> [YZ:XZ:XY]; general Cremona images
+are out of scope.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .curves import (
 )
 from .fields import Field, FieldElement
 from .linalg import mat_det, mat_inv, mat_mul, mat_vec
-from .polynomials import MultiPoly, NEG_INF, Poly1, RatFunc, RatFuncField, clear_denominators, exact_div, poly_gcd
+from .polynomials import MultiPoly, NEG_INF, Poly1, exact_div, poly_gcd, primitive
 
 
 class LineMobius:
@@ -99,34 +100,24 @@ class LineMobius:
 
 
 class MobiusOverBase:
-    """x -> (alpha(y) x + beta(y)) / (gamma(y) x + delta(y)) with rational
-    function entries and nonzero determinant."""
+    """x -> (alpha(y) x + beta(y)) / (gamma(y) x + delta(y)) with polynomial
+    entries, nonzero determinant and their monic common factor divided out."""
 
-    __slots__ = ("ring", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries: Sequence[RatFunc]):
+    def __init__(self, entries: Sequence[Poly1]):
         alpha, beta, gamma, delta = entries
-        det = alpha * delta - beta * gamma
-        if det.is_zero():
+        if (alpha * delta - beta * gamma).is_zero():
             raise ValueError("degenerate Moebius over the base: alpha*delta = beta*gamma")
-        object.__setattr__(self, "ring", alpha.num.ring)
-        object.__setattr__(self, "entries", (alpha, beta, gamma, delta))
+        object.__setattr__(self, "entries", primitive(entries))
 
     def __setattr__(self, *args):
         raise AttributeError("MobiusOverBase is immutable")
 
     @staticmethod
     def identity(base_ring) -> "MobiusOverBase":
-        rf = RatFuncField(base_ring)
-        return MobiusOverBase((rf.one(), rf.zero(), rf.zero(), rf.one()))
-
-    @staticmethod
-    def from_polynomials(polys: Sequence[Poly1]) -> "MobiusOverBase":
-        return MobiusOverBase([RatFunc.from_poly(p) for p in polys])
-
-    def cleared(self) -> Tuple[Poly1, Poly1, Poly1, Poly1]:
-        """Entries scaled by a common denominator into polynomials in y."""
-        return clear_denominators(self.entries)
+        one, zero = Poly1.one(base_ring), Poly1.zero(base_ring)
+        return MobiusOverBase((one, zero, zero, one))
 
     def compose(self, other: "MobiusOverBase") -> "MobiusOverBase":
         """self after other."""
@@ -134,7 +125,7 @@ class MobiusOverBase:
         product = mat_mul(((alpha, beta), (gamma, delta)), (other.entries[:2], other.entries[2:]))
         return MobiusOverBase(product[0] + product[1])
 
-    def determinant(self) -> RatFunc:
+    def determinant(self) -> Poly1:
         alpha, beta, gamma, delta = self.entries
         return alpha * delta - beta * gamma
 
@@ -148,13 +139,7 @@ class MobiusOverBase:
         return self.proportional_to(other)
 
     def proportional_to(self, other: "MobiusOverBase") -> bool:
-        a1 = self.entries
-        a2 = other.entries
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if not (a1[i] * a2[j] - a1[j] * a2[i]).is_zero():
-                    return False
-        return True
+        return proportional_eq(self.entries, other.entries)
 
     def __repr__(self):
         alpha, beta, gamma, delta = self.entries
@@ -385,7 +370,7 @@ def jonquieres_decompose(f: PlaneRationalMap, P: ProjPoint) -> Optional[Jonquier
 
     Internally moves P to [1:0:0]; a witness consists of the induced Moebius
     action on the pencil [Y:Z] and the Moebius action on the fiber coordinate
-    x = X/Z, with entries rational in y = Y/Z.  None is returned when the
+    x = X/Z, with entries polynomial in y = Y/Z.  None is returned when the
     pencil image genuinely depends on the fiber coordinate, when the induced
     base map is not an automorphism of P^1, or when the fiber action is not
     fractional-linear (so f cannot be birational).
@@ -425,7 +410,7 @@ def jonquieres_decompose(f: PlaneRationalMap, P: ProjPoint) -> Optional[Jonquier
     entries = []
     for source in (num, den):
         by_power = source.univariate_coefficients("X")
-        entries += [RatFunc.from_poly(by_power.get(k, zero).to_poly1("Y")) for k in (1, 0)]
+        entries += [by_power.get(k, zero).to_poly1("Y") for k in (1, 0)]
     try:
         fiber = MobiusOverBase(entries)
     except ValueError:

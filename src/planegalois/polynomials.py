@@ -3,8 +3,8 @@
 MultiPoly is the workhorse: a sparse map from exponent vectors to nonzero
 coefficients with a graded-lexicographic canonical order.  Poly1 provides
 dense univariate polynomials over any field-like coefficient ring (the exact
-fields themselves, or rational functions), and RatFunc the fraction field of
-Poly1 used for Moebius transformations over a base line.
+fields themselves, or rational functions), and RatFunc the fraction field
+k(y) of Poly1, for the computations in galois that need one.
 
 Degree of the zero polynomial is the distinguished sentinel NEG_INF.
 """
@@ -465,8 +465,8 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     gp = [exact_div(c, cont_g) for c in gc]
     last = _subresultant(fp, gp, MultiPoly.one(f.field, f.vars))[1]
     last_content = _content(last)
-    primitive = [exact_div(c, last_content) for c in last]
-    result = _from_dense(primitive, f, var) * content
+    last_primitive = [exact_div(c, last_content) for c in last]
+    result = _from_dense(last_primitive, f, var) * content
     return result.monic()
 
 
@@ -759,6 +759,20 @@ class Poly1:
                 e[i] = k
                 terms[tuple(e)] = c
         return MultiPoly(field, vars, terms)
+
+
+def primitive(polys: Sequence[Poly1]) -> Tuple[Poly1, ...]:
+    """The polynomials divided by the monic gcd of their nonzero members, so
+    a constant scaling of them is kept."""
+    content = None
+    for p in polys:
+        if p.is_zero():
+            continue
+        content = p if content is None else content.gcd(p)
+        if content.degree() == 0:
+            return tuple(polys)
+    content = content.monic()
+    return tuple(p.exact_div(content) for p in polys)
 
 
 # -- roots in the coefficient field ------------------------------------------

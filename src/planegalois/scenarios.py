@@ -604,7 +604,7 @@ def _witness_json(witness) -> object:
     if isinstance(witness, tuple):
         return [_witness_json(w) for w in witness]
     if isinstance(witness, MobiusOverBase):
-        alpha, beta, gamma, delta = witness.cleared()
+        alpha, beta, gamma, delta = witness.entries
         return {
             "mobius_over_base": {
                 "alpha": _poly1_text(alpha),

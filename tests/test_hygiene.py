@@ -1,6 +1,7 @@
 """Static hygiene of the package, read with the standard library's ast:
 no unused imports, no imports inside functions except cycle-breakers, no
-module-level imports beyond a fixed standard-library set, no
+module-level imports beyond a fixed standard-library set, the field of
+fractions k(y) imported only where it is needed, no
 module-level functions or classes and no methods that nothing calls, and no
 stored attributes that nothing reads."""
 
@@ -116,6 +117,21 @@ def test_module_level_imports_stay_within_the_standard_set(module):
             if node.module.split(".")[0] not in STDLIB_IMPORTS:
                 outside.append(node.module)
     assert outside == []
+
+
+# The field of fractions k(y) and its helpers, and the modules that may import
+# them: galois computes over k(y), and `__init__` re-exports RatFunc.
+RATFUNC_NAMES = {"RatFunc", "RatFuncField", "clear_denominators"}
+RATFUNC_IMPORTERS = {"galois", "__init__"}
+
+
+@pytest.mark.parametrize("module", [m for m in _modules() if m not in RATFUNC_IMPORTERS | {"polynomials"}])
+def test_rational_functions_stay_in_galois(module):
+    """Moebius maps over the base are polynomial (`maps`), so no other module
+    imports RatFunc, RatFuncField or clear_denominators."""
+    tree = _parse(os.path.join(PACKAGE, f"{module}.py"))
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert imported & RATFUNC_NAMES == set()
 
 
 def _attributes(load_only: bool = False) -> set:

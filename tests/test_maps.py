@@ -14,6 +14,7 @@ from planegalois.fields import FieldDescriptor, make_field
 from planegalois.linalg import mat_det, mat_inv
 from planegalois.maps import (
     LineMobius,
+    MobiusOverBase,
     PlaneRationalMap,
     jonquieres_decompose,
     linear_pushforward,
@@ -256,6 +257,8 @@ def test_jonquieres_witness_determinant_nonzero(Z3):
     w = jonquieres_decompose(J, ProjPoint.from_ints(Z3, (1, 0, 0)))
     det = w.fiber_action.determinant()
     assert not det.is_zero()
+    # the fiber action is read off as polynomials in y = Y/Z
+    assert w.fiber_action.entries == _polys_in_y(Z3, "y - z", "(1 - z)*y", "z - 1", "z*y - 1")
 
 
 def test_compose_associativity(Q):
@@ -278,6 +281,28 @@ def test_line_mobius_basics(Q):
         LineMobius(Q, ((Q.one(), Q.one()), (Q.one(), Q.one())))
     swap = LineMobius(Q, ((Q.zero(), Q.one()), (Q.one(), Q.zero())))
     assert swap.order() == 2
+
+
+def _polys_in_y(field, *texts):
+    return tuple(parse_poly(t, field, ("y",)).to_poly1("y") for t in texts)
+
+
+def test_mobius_over_base_divides_out_the_common_factor(Q):
+    # (y + 1) * (2, 4y, 0, 6): the monic content goes, the constant 2 stays
+    shared = MobiusOverBase(_polys_in_y(Q, "2*y + 2", "4*y^2 + 4*y", "0", "6*y + 6"))
+    assert shared.entries == _polys_in_y(Q, "2", "4*y", "0", "6")
+    with pytest.raises(ValueError):
+        MobiusOverBase(_polys_in_y(Q, "y", "y^2", "1", "y"))
+
+
+def test_mobius_over_base_order_three(Z3):
+    # cubic-omega's sigma over Q(zeta_3): sigma^3 is a polynomial multiple of
+    # the identity, which the content removal brings back to a constant one
+    sigma = MobiusOverBase(_polys_in_y(Z3, "y - z", "(1 - z)*y", "z - 1", "z*y - 1"))
+    square = sigma.compose(sigma)
+    assert not square.is_identity() and not sigma.is_identity()
+    assert square.compose(sigma).is_identity()
+    assert sigma.compose(square) == MobiusOverBase.identity(Z3)
 
 
 def _line_form(field):

@@ -235,6 +235,66 @@ def test_kummer_cubics_without_cube_roots_of_unity_are_not_galois(n, implicit, c
         os.unlink(path)
 
 
+def _sigma_power_entry(label, mobius, plane_map, notes):
+    alpha, beta, gamma, delta = mobius
+    witness = {"mobius_over_base": {"alpha": alpha, "beta": beta, "gamma": gamma, "delta": delta}}
+    return {
+        "element": label,
+        "label": label,
+        "verdict": "jonquieres",
+        "proven": False,
+        "witness": [witness, {"plane_map": plane_map}],
+        "notes": notes,
+    }
+
+
+IDENTITY_ENTRY = {
+    "element": "identity",
+    "label": "identity",
+    "verdict": "jonquieres",
+    "proven": False,
+    "witness": {"mobius_over_base": {"alpha": "1", "beta": "0", "gamma": "0", "delta": "1"}},
+    "notes": "identity",
+}
+
+
+@pytest.mark.parametrize(
+    "field, implicit, sigma_powers",
+    [
+        # outer Galois cubic: sigma from the Lemma 3.1 formulas, sigma^2 by composition
+        (
+            {"kind": "cyclotomic", "n": 3},
+            "X^3 + 2*Y^3 - Y^2*Z + 3*Z^3",
+            [
+                ("sigma", ("-z", "0", "0", "(z + 1)"), ["X", "z*Y", "z*Z"], "Lemma 3.1 normal form"),
+                ("sigma^2", ("(-z - 1)", "0", "0", "z"), ["X", "(-z - 1)*Y", "(-z - 1)*Z"], "Lemma 3.1 normal form"),
+            ],
+        ),
+        # inner double cover: a1 = (y^2 + 1) / (y + 2) has a y-denominator
+        (
+            {"kind": "rational"},
+            "X^2*Y + 2*X^2*Z + X*Y^2 + X*Z^2 + Y^3 + Y*Z^2 + 5*Z^3",
+            [
+                (
+                    "sigma",
+                    ("-y - 2", "-y^2 - 1", "0", "y + 2"),
+                    ["X*Y + 2*X*Z + Y^2 + Z^2", "-Y^2 - 2*Y*Z", "-Y*Z - 2*Z^2"],
+                    "x -> -x - a1",
+                ),
+            ],
+        ),
+    ],
+    ids=["outer-cubic", "inner-double-cover"],
+)
+def test_implicit_only_witness_text(field, implicit, sigma_powers):
+    # without a parametrization the extensions come from sigma's algebraic
+    # Moebius map and its powers; the built-ins all take the deck route
+    scenario = scenario_from_json({"field": field, "curve": {"implicit": implicit}, "point": ["1", "0", "0"]})
+    report = run_scenario(scenario, seed=0)
+    assert report["status"] == "verified"
+    assert report["extensions"] == [IDENTITY_ENTRY] + [_sigma_power_entry(*s) for s in sigma_powers]
+
+
 def test_galois_extend_renders_the_verify_entries(capsys):
     path = _tmpfile(
         {
