@@ -45,7 +45,6 @@ from .polynomials import (
     exact_div,
     poly_gcd,
     primitive,
-    pseudo_rem,
     roots,
 )
 
@@ -321,43 +320,78 @@ def mobius_solver(
     minimal polynomial m(T) = p(T) - y q(T) of t over k(y).  Pseudo-dividing
     the products sd*xn, sd*xd, sn*xn and sn*xd by m, with one power of lc(m)
     for all four, turns Gamma*sigma(x)*x + Delta*sigma(x) - A*x - B = 0 into
-    M v = 0 for an n x 4 matrix M over k[y] and v = (A, B, Gamma, Delta).
+    M v = 0 for an n x 4 matrix M over k[y] and v = (A, B, Gamma, Delta);
+    by linearity one table of lc(m)^E T^i mod m serves all four products.
 
-    For n >= 3, 1, x and x^2 are independent over k(y), so nondegenerate
-    members of the kernel are proportional and the kernel is at most a line.
-    Rank 4 at the specialization y = 2 proves NONE, because specializing
-    can only lower the rank, and so does a kernel without a nondegenerate
-    member.  Otherwise the kernel's primitive vector is the least-degree
-    witness: found when its degree is at most the bound, NONE up to the
-    bound above it.  For n <= 2 the kernel has dimension >= 2; the witness
-    is the first nondegenerate member of the k-kernel of M's coefficient
-    system in the coefficients of v of degree <= D', for the least D' up to
-    the bound that has one, and without one the answer is NONE up to the
-    bound.
+    If x has degree >= 3 over k(y) (n >= 3 unless phi is a k:1 cover), 1, x
+    and x^2 are independent and sigma(x) is not in k(y): the kernel is at
+    most a line.  Rank 4 at y = 2 proves NONE (specializing only lowers the
+    rank).  Else the signed 3x3 minors of the first row triple with a
+    nonzero minor span it, unless a remaining row is not orthogonal to
+    them (rank 4, NONE).  A degenerate line means NONE; else its primitive
+    vector is the least-degree witness, found if its degree is at most the
+    bound, else NONE up to the bound.  For n <= 2, and when every minor
+    vanishes, the kernel has dimension >= 2: the witness is the first
+    nondegenerate member of the k-kernel of M's coefficient system for
+    entries of degree <= D', D' least up to the bound; else NONE up to it.
     """
     xn, xd = x_t.num, x_t.den
     sn, sd = sigma_x_t.num, sigma_x_t.den
     p, q = psi_t.num, psi_t.den
     n = psi_t.degree_as_map()
     products = [-(sd * xn), -(sd * xd), sn * xn, sn * xd]
-    width = max(n + 1, max(len(w.coeffs) for w in products))
-    m = [Poly1(field, [p[i], -q[i]]) for i in range(n + 1)]
-    reduced = [pseudo_rem([Poly1(field, [w[i]]) for i in range(width)], m) for w in products]
-    M = [[r[i] if i < len(r) else Poly1.zero(field) for r in reduced] for i in range(n)]
+    M = _reduction_matrix(products, [Poly1(field, [p[i], -q[i]]) for i in range(n + 1)], field)
     if n <= 2:
         return _bounded_mobius(M, field, degree_bound)
-    y0 = field.from_int(2)
-    if not nullspace([[e.evaluate(y0) for e in row] for row in M], field, width=4):
+    if not nullspace([[e.evaluate(field.from_int(2)) for e in row] for row in M], field, width=4):
         return MobiusSolution("none_proven")
-    rows = [[RatFunc.from_poly(e) for e in row] for row in M]
-    kernel = nullspace(rows, RatFuncField(field), width=4)
-    members = _nondegenerate([clear_denominators(v) for v in kernel])
-    if not members:
+    line = _kernel_line(M)
+    if line is None:
+        return _bounded_mobius(M, field, degree_bound)
+    if not line or not _nondegenerate([line]):
         return MobiusSolution("none_proven")
-    witness = primitive(members[0])
+    witness = primitive(line)
     if max(int(e.degree()) for e in witness if not e.is_zero()) > degree_bound:
         return MobiusSolution("none_up_to_bound")
     return _found(witness)
+
+
+def _reduction_matrix(products: Sequence[Poly1], m: List[Poly1], field: Field) -> List[List[Poly1]]:
+    """M[r][j] = [T^r] lc(m)^E w_j mod m, E = width - n (width: the longest
+    product's length, at least n + 1), is sum_i w_j[i] [T^r] U_i for the table
+    U_i = lc(m)^E T^i mod m = lc(m)^(E - k) S_i, S_i = lc(m)^k T^i mod m, k = max(0, i - n + 1)."""
+    n, lc, zero = len(m) - 1, m[-1], Poly1.zero(field)
+    E = max(n + 1, max(len(w.coeffs) for w in products)) - n
+    powers = list(itertools.accumulate([lc] * E, Poly1.__mul__, initial=Poly1.one(field)))
+    table, S = [], [Poly1.one(field)] + [zero] * (n - 1)
+    for i in range(n + E):
+        table.append([s * powers[E - max(0, i - n + 1)] for s in S])
+        top, S = S[-1], [zero] + S[:-1]
+        if i >= n - 1:
+            S = [lc * s - top * c for s, c in zip(S, m)]
+    def entry(w: Poly1, r: int) -> Poly1:
+        acc = [field.zero()] * (E + 1)
+        for c, U in zip(w.coeffs, table):
+            if not c.is_zero():
+                for k, a in enumerate(U[r].coeffs):
+                    acc[k] = acc[k] + c * a
+        return Poly1(field, acc)
+
+    return [[entry(w, r) for w in products] for r in range(n)]
+
+
+def _kernel_line(M: List[List[Poly1]]) -> Optional[List[Poly1]]:
+    """The signed 3x3 minors of M's first row triple (combinations order) with
+    a nonzero minor; [] if a remaining row is not orthogonal to them (rank 4),
+    None if every minor vanishes (rank <= 2)."""
+    for triple in itertools.combinations(range(len(M)), 3):
+        minors = [_det3([M[i][:j] + M[i][j + 1 :] for i in triple]) for j in range(4)]
+        if any(not e.is_zero() for e in minors):
+            line = [-e if j % 2 else e for j, e in enumerate(minors)]
+            rest = (M[i] for i in range(len(M)) if i not in triple)
+            residuals = (sum(map(Poly1.__mul__, r, line), Poly1.zero(r[0].ring)) for r in rest)
+            return [] if any(not r.is_zero() for r in residuals) else line
+    return None
 
 
 def _bounded_mobius(M: List[List[Poly1]], field: Field, D: int) -> MobiusSolution:
@@ -545,7 +579,10 @@ def linear_extension_solver(phi: Parametrization, g: LineMobius) -> LinearExtens
         return LinearExtensionResult("none", details={"certificate": "inconsistent system"})
     particular, kernel = solved
     lam_vars = tuple(f"l{i}" for i in range(len(kernel)))
-    det = _symbolic_det(particular, kernel, lam_vars, field)
+    lams = [MultiPoly.variable(field, lam_vars, v) for v in lam_vars]
+    const = [MultiPoly.constant(field, lam_vars, c) for c in particular]
+    sym = [sum((lam.scale(vec[i]) for lam, vec in zip(lams, kernel)), const[i]) for i in range(9)]
+    det = _det3([sym[0:3], sym[3:6], sym[6:9]])
     if det.is_zero():
         return LinearExtensionResult(
             "none", details={"certificate": "solution space contains only singular matrices"}
@@ -564,15 +601,8 @@ def linear_extension_solver(phi: Parametrization, g: LineMobius) -> LinearExtens
     return LinearExtensionResult("found", matrix=matrix)
 
 
-def _symbolic_det(particular, kernel, lam_vars, field) -> MultiPoly:
-    def entry(idx):
-        acc = MultiPoly.constant(field, lam_vars, particular[idx])
-        for k, vec in enumerate(kernel):
-            if not vec[idx].is_zero():
-                acc = acc + MultiPoly.variable(field, lam_vars, lam_vars[k]).scale(vec[idx])
-        return acc
-
-    m = [[entry(3 * r + c) for c in range(3)] for r in range(3)]
+def _det3(m):
+    """A 3x3 determinant over any commutative ring, along the first row."""
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
