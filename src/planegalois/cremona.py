@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .curves import CURVE_VARS, Parametrization, PlaneCurve, ProjPoint, multiplicity_implicit
+from .curves import CURVE_VARS, Parametrization, PlaneCurve, ProjPoint, multiplicity_implicit, substitute_matrix
 from .fields import Field, FieldElement
 from .linalg import mat_det, mat_inv
 from .maps import (
     LineMobius,
     PlaneRationalMap,
+    conjugate_by,
     linear_pushforward,
     proportional_eq,
     std_quadratic_pushforward,
@@ -126,9 +127,7 @@ def step_map(step: ChainStep, field: Field) -> PlaneRationalMap:
     if step.kind == "linear":
         return PlaneRationalMap.from_matrix(field, step.matrix)
     A = _points_matrix(step.points, field)
-    forward = PlaneRationalMap.from_matrix(field, A)
-    backward = PlaneRationalMap.from_matrix(field, mat_inv(A, field))
-    return forward.compose(PlaneRationalMap.standard_quadratic(field)).compose(backward)
+    return conjugate_by(A, PlaneRationalMap.standard_quadratic(field).components)
 
 
 def inverse_step_map(step: ChainStep, field: Field) -> PlaneRationalMap:
@@ -284,8 +283,8 @@ def _conjugate(
 ) -> PlaneRationalMap:
     """backward o end_automorphism o forward, for an end automorphism that
     preserves chain.end."""
-    end_map = PlaneRationalMap.from_matrix(chain.start.field, end_automorphism)
     end_F = chain.end.implicit
-    if not divides(end_F, end_F.substitute(dict(zip(CURVE_VARS, end_map.components)))):
+    if not divides(end_F, substitute_matrix(end_F, end_automorphism)):
         raise ValueError("the end automorphism does not preserve the end curve")
-    return backward.compose(end_map).compose(forward)
+    moved = [substitute_matrix(c, end_automorphism) for c in backward.components]
+    return PlaneRationalMap(moved).compose(forward)

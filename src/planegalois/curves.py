@@ -11,7 +11,7 @@ import random
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .fields import Field, FieldElement, UNDETERMINED
-from .linalg import mat_det, mat_vec, nullspace
+from .linalg import mat_det, mat_inv, mat_vec, nullspace
 from .polynomials import MultiPoly, NEG_INF, Poly1, exact_div, poly_gcd, resultant, roots
 from .polynomials import sylvester_det  # noqa: F401  unused; bench/tests/test_bench.py pins curves.sylvester_det
 
@@ -286,47 +286,28 @@ def multiplicity_implicit(C: PlaneCurve, P: ProjPoint) -> int:
     return result
 
 
-def projection_forms(P: ProjPoint) -> Tuple[MultiPoly, MultiPoly]:
-    """Canonical basis (L1, L2) of the linear forms vanishing at P.
-
-    For P = [1:0:0] this is (Y, Z), matching the projection [X:Y:Z] -> [Y:Z].
-    """
-    field = P.field
-    k = P.pivot()
-    a, b = [i for i in range(3) if i != k]
-    xa = MultiPoly.variable(field, CURVE_VARS, CURVE_VARS[a])
-    xb = MultiPoly.variable(field, CURVE_VARS, CURVE_VARS[b])
-    xk = MultiPoly.variable(field, CURVE_VARS, CURVE_VARS[k])
-    L1 = xa - xk.scale(P.coords[a])
-    L2 = xb - xk.scale(P.coords[b])
-    return L1, L2
-
-
-def pullback_line(L: MultiPoly, phi: Parametrization) -> MultiPoly:
-    sub = {v: f for v, f in zip(CURVE_VARS, phi.forms)}
-    return L.substitute(sub)
-
-
 def multiplicity_param(
     phi: Parametrization, P: ProjPoint, trials: int = 5, seed: int = 0
 ) -> int:
     """Multiplicity at P from the parametrization: minimal gcd degree of the
-    pullbacks of two independent lines through P (generic lines attain m_P)."""
-    L1, L2 = projection_forms(P)
+    pullbacks of two independent lines through P (generic lines attain m_P).
+
+    The lines through P are spanned by rows 1 and 2 of T^-1 for the chart
+    T = move_point_first(P); pulling back is linear, so the pullbacks of
+    their combinations are the same combinations of the two pulled back."""
+    a, b = mat_vec(mat_inv(move_point_first(P), phi.field)[1:], phi.forms)
     rng = random.Random(seed)
     best = None
     for trial in range(max(1, trials)):
         if trial == 0:
-            A, B = L1, L2
+            pa, pb = a, b
         else:
             c1 = phi.field.from_int(rng.randint(-9, 9))
             c2 = phi.field.from_int(rng.randint(-9, 9))
-            A = L1 + L2.scale(c1)
-            B = L2 + L1.scale(c2)
             if (phi.field.one() - c1 * c2).is_zero():
                 continue  # dependent pair
-        pa = pullback_line(A, phi)
-        pb = pullback_line(B, phi)
+            pa = a + b.scale(c1)
+            pb = b + a.scale(c2)
         if pa.is_zero() or pb.is_zero():
             continue  # the line contains the whole curve
         g = poly_gcd(pa, pb)

@@ -23,8 +23,6 @@ from .curves import (
     has_point_of_multiplicity_ge,
     move_point_first,
     multiplicity_implicit,
-    projection_forms,
-    pullback_line,
     substitute_matrix,
 )
 from .fields import Field, FieldElement, UNDETERMINED, Undetermined
@@ -33,6 +31,7 @@ from .maps import (
     LineMobius,
     MobiusOverBase,
     PlaneRationalMap,
+    conjugate_by,
     proportional_eq,
 )
 from .polynomials import (
@@ -118,10 +117,10 @@ class GaloisCertificate:
 
 def project_param(phi: Parametrization, P: ProjPoint) -> Tuple[MultiPoly, MultiPoly]:
     """pi_P composed with phi, with common factors cleared; the pair of
-    binary forms representing the induced map of P^1."""
-    L1, L2 = projection_forms(P)
-    a = pullback_line(L1, phi)
-    b = pullback_line(L2, phi)
+    binary forms representing the induced map of P^1.  The pencil of lines
+    through P is rows 1 and 2 of T^-1 for the chart T = move_point_first(P),
+    so those rows applied to the forms of phi give the pair."""
+    a, b = mat_vec(mat_inv(move_point_first(P), phi.field)[1:], phi.forms)
     if a.is_zero() or b.is_zero():
         raise ValueError("projection of the parametrization collapses")
     g = poly_gcd(a, b)
@@ -131,12 +130,11 @@ def project_param(phi: Parametrization, P: ProjPoint) -> Tuple[MultiPoly, MultiP
     return a, b
 
 
-def deck_verify(phi: Parametrization, P: ProjPoint, g: LineMobius) -> bool:
-    """True iff psi o g is projectively equal to psi, psi = pi_P o phi."""
-    a, b = project_param(phi, P)
-    ag = g.substitute_into(a)
-    bg = g.substitute_into(b)
-    return proportional_eq((a, b), (ag, bg))
+def deck_verify(projected: Tuple[MultiPoly, MultiPoly], g: LineMobius) -> bool:
+    """True iff psi o g is projectively equal to psi, where psi = pi_P o phi
+    is given by its pair of binary forms `project_param(phi, P)`."""
+    a, b = projected
+    return proportional_eq(projected, (g.substitute_into(a), g.substitute_into(b)))
 
 
 def deck_group_from_candidates(
@@ -144,10 +142,10 @@ def deck_group_from_candidates(
 ) -> GaloisCertificate:
     """Close the verified candidates under composition and compare the group
     order with the extension degree."""
-    a, b = project_param(phi, P)
-    n = max(int(a.degree()), int(b.degree()))
+    projected = project_param(phi, P)
+    n = max(int(f.degree()) for f in projected)
 
-    verified = [g for g in candidates if deck_verify(phi, P, g)]
+    verified = [g for g in candidates if deck_verify(projected, g)]
     group = {LineMobius.identity(phi.field)}
     group.update(verified)
     cap = 8 * max(n, 1) + 16
@@ -159,7 +157,7 @@ def deck_group_from_candidates(
             for h in current:
                 gh = g.compose(h)
                 if gh not in group:
-                    if not deck_verify(phi, P, gh):
+                    if not deck_verify(projected, gh):
                         raise RuntimeError("composition of deck maps failed verification")
                     group.add(gh)
                     changed = True
@@ -457,9 +455,12 @@ def lemma31_formulas(
     cubic extension, given its polynomial form sigma(x) = nu2 x^2 + nu1 x + nu0.
 
     Uses alpha = a2 nu1 nu2 - a1 nu2^2 + nu0 nu2 - nu1^2, gamma = nu2,
-    delta = a2 nu2 - nu1, and beta = a2 nu0 nu2 - a0 nu2^2 - nu0 nu1; the
-    defining congruence (gamma x + delta) sigma(x) = alpha x + beta mod f is
-    re-verified by an independent reduction before returning.
+    delta = a2 nu2 - nu1, and beta = a2 nu0 nu2 - a0 nu2^2 - nu0 nu1.  For
+    every nu these satisfy (gamma x + delta) sigma(x) = alpha x + beta mod f
+    identically (reduce the product by x^3 = -a2 x^2 - a1 x - a0), so there
+    is nothing to re-check; a degenerate result is refused.  That nu is an
+    automorphism's polynomial form is certified where nu is made
+    (`cubic_sigma_polynomial_form` checks f(sigma(x)) = 0 mod f).
     """
     a2, a1, a0 = cubic
     nu2, nu1, nu0 = nu
@@ -467,13 +468,6 @@ def lemma31_formulas(
     beta = a2 * nu0 * nu2 - a0 * nu2 * nu2 - nu0 * nu1
     gamma = nu2
     delta = a2 * nu2 - nu1
-    ring = RatFuncField(a2.num.ring)
-    f = Poly1(ring, [a0, a1, a2, ring.one()])
-    sigma = Poly1(ring, [nu0, nu1, nu2])
-    lhs = (Poly1(ring, [delta, gamma]) * sigma) % f
-    rhs = Poly1(ring, [beta, alpha])
-    if lhs != rhs:
-        raise ValueError("congruence check failed: nu is not an automorphism's polynomial form")
     try:
         return MobiusOverBase(clear_denominators((alpha, beta, gamma, delta)))
     except ValueError as exc:
@@ -528,12 +522,7 @@ def jonquieres_builder(mob: MobiusOverBase, P: ProjPoint, field: Field) -> Plane
     # Their only common factors are powers of Z (A, B, C and D are coprime).
     forms = [num * Z, Y * den, Z * den]
     shared = Z ** min(e[2] for f in forms for e in f.terms)
-    J_std = PlaneRationalMap([exact_div(f, shared) for f in forms])
-    T = move_point_first(P)
-    T_inv = mat_inv(T, field)
-    as_map = PlaneRationalMap.from_matrix(field, T)
-    back = PlaneRationalMap.from_matrix(field, T_inv)
-    return as_map.compose(J_std).compose(back)
+    return conjugate_by(move_point_first(P), [exact_div(f, shared) for f in forms])
 
 
 # -- linear extensions ---------------------------------------------------------
@@ -760,9 +749,9 @@ def _sigma_power_reports(model: ProjectionModel, certificate: GaloisCertificate)
 
 
 def _verify_jonquieres(P: ProjPoint, phi, g, J: PlaneRationalMap):
-    L1, L2 = projection_forms(P)
-    sub = {v: c for v, c in zip(CURVE_VARS, J.components)}
-    if not proportional_eq((L1.substitute(sub), L2.substitute(sub)), (L1, L2)):
+    pencil = mat_inv(move_point_first(P), P.field)[1:]  # the lines through P
+    xs = [MultiPoly.variable(P.field, CURVE_VARS, v) for v in CURVE_VARS]
+    if not proportional_eq(mat_vec(pencil, J.components), mat_vec(pencil, xs)):
         raise RuntimeError("built map does not fix the pencil through the center")
     if not _witness_checks(phi, g, J):
         raise RuntimeError("built de Jonquieres map does not restrict to the deck action")

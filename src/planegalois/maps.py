@@ -303,6 +303,13 @@ def proportional_eq(fs: Sequence, gs: Sequence) -> bool:
     return True
 
 
+def conjugate_by(A: Sequence[Sequence[FieldElement]], forms: Sequence[MultiPoly]) -> PlaneRationalMap:
+    """A o f o A^-1 for the plane map f with the given forms: A^-1 is
+    substituted into each form and A applied to the results."""
+    A_inv = mat_inv(A, forms[0].field)
+    return PlaneRationalMap(mat_vec(A, [substitute_matrix(f, A_inv) for f in forms]))
+
+
 def linear_pushforward(C: PlaneCurve, M: Sequence[Sequence[FieldElement]]) -> PlaneCurve:
     """Image of C under the linear map x -> M x (implicit form F o M^-1)."""
     field = C.field
@@ -376,10 +383,7 @@ def jonquieres_decompose(f: PlaneRationalMap, P: ProjPoint) -> Optional[Jonquier
     fractional-linear (so f cannot be birational).
     """
     field = f.field
-    T = move_point_first(P)
-    T_inv = mat_inv(T, field)
-    moved = [substitute_matrix(c, T) for c in f.components]
-    work = PlaneRationalMap(mat_vec(T_inv, moved))
+    work = conjugate_by(mat_inv(move_point_first(P), field), f.components)
     q2, q3 = work.components[1], work.components[2]
     g = poly_gcd(q2, q3)
     if g.degree() not in (NEG_INF, 0):

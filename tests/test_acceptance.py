@@ -177,7 +177,7 @@ def test_criterion_5_lemma31_formula_suite(Z3):
         if case is None:
             continue
         cubic_coeffs, nu, x_t, sigma_x_t, psi_t = case
-        mob = lemma31_formulas(cubic_coeffs, nu)  # verifies the congruence
+        mob = lemma31_formulas(cubic_coeffs, nu)  # checked against the solver below
         sol = mobius_solver(x_t, sigma_x_t, psi_t, Z3, 8)
         assert sol.found(), "solver missed a Moebius the formulas produced"
         assert mob.proportional_to(sol.mobius)

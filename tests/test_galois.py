@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from planegalois import galois
 from planegalois.curves import (
     CURVE_VARS,
     PARAM_VARS,
@@ -10,6 +11,7 @@ from planegalois.curves import (
     ProjPoint,
     curve_from_implicit,
     curve_from_parametrization,
+    move_point_first,
     parametrization_from_affine,
 )
 from planegalois.galois import (
@@ -29,7 +31,7 @@ from planegalois.galois import (
     project_param,
     projection_model,
 )
-from planegalois.linalg import mat_det, mat_vec
+from planegalois.linalg import mat_det, mat_inv, mat_vec
 from planegalois.maps import LineMobius, MobiusOverBase, PlaneRationalMap, proportional_eq
 from planegalois.parsing import parse_poly
 from planegalois.polynomials import MultiPoly, Poly1, RatFunc, divides
@@ -116,15 +118,15 @@ def test_psi_degree_matches_extension_degree(Q, Z3, Z5, Z8, F3):
 def test_deck_verify_examples(Z4, Z8, F3, Q):
     quartic, P = _quartic_scenario(Z8)
     i = Z8.parse("z^2")
-    assert deck_verify(quartic.param, P, LineMobius.diagonal(Z8, i, Z8.one()))
+    assert deck_verify(project_param(quartic.param, P), LineMobius.diagonal(Z8, i, Z8.one()))
     char3, P3 = _char3_scenario(F3)
     g3 = LineMobius(F3, ((F3.one(), F3.zero()), (F3.one(), F3.one())))
-    assert deck_verify(char3.param, P3, g3)
+    assert deck_verify(project_param(char3.param, P3), g3)
     cubic, Pc = _cubic_scenario(Q)
-    assert deck_verify(cubic.param, Pc, LineMobius.identity(Q))
+    assert deck_verify(project_param(cubic.param, Pc), LineMobius.identity(Q))
     # a non-deck transformation fails
     assert not deck_verify(
-        quartic.param, P, LineMobius.diagonal(Z8, Z8.from_int(2), Z8.one())
+        project_param(quartic.param, P), LineMobius.diagonal(Z8, Z8.from_int(2), Z8.one())
     )
 
 
@@ -261,7 +263,7 @@ def test_mobius_solver_proves_none_off_the_diagonal():
     nu = LineMobius(field, ((field.one(), field.one()), (field.zero(), field.one())))
     phi = Parametrization([nu.substitute_into(f) for f in scenario.curve.param.forms])
     h = nu.inverse().compose(g).compose(nu)
-    assert deck_verify(phi, P, h)
+    assert deck_verify(project_param(phi, P), h)
     assert mobius_solver(*parameter_data(phi, P, h), field, 3).status == "none_proven"
     x_t, sx_t, psi_t = parameter_data(phi, P, h.compose(h))
     sol = mobius_solver(x_t, sx_t, psi_t, field, 3)
@@ -278,7 +280,7 @@ def test_mobius_solver_degree_bound_on_a_double_cover(Q):
     phi = Parametrization([parse_poly(f, Q, PARAM_VARS) for f in ("u^2 + u*v + 2*v^2", "u^2", "v^2")])
     P = ProjPoint.from_ints(Q, (1, 0, 0))
     g = LineMobius.diagonal(Q, -Q.one(), Q.one())
-    assert deck_verify(phi, P, g)
+    assert deck_verify(project_param(phi, P), g)
     x_t, sx_t, psi_t = parameter_data(phi, P, g)
     assert psi_t.degree_as_map() == 2
     assert mobius_solver(x_t, sx_t, psi_t, Q, 0).status == "none_up_to_bound"
@@ -472,6 +474,45 @@ def test_jonquieres_builder_examples(Z3, F3):
     assert jonquieres_builder(ident, P3, F3) == PlaneRationalMap.identity(F3)
 
 
+def test_jonquieres_builder_builds_one_plane_map(Z3, monkeypatch):
+    # off [1:0:0] the chart moves the standard-position map in one
+    # conjugation: one PlaneRationalMap, not five
+    entries = ("y - z", "(1 - z)*y", "z - 1", "z*y - 1")  # cubic-omega's sigma
+    sigma = MobiusOverBase(tuple(parse_poly(t, Z3, ("y",)).to_poly1("y") for t in entries))
+    P = ProjPoint.from_ints(Z3, (2, 1, 3))
+    calls = []
+    init = PlaneRationalMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlaneRationalMap, "__init__", counting_init)
+    J = jonquieres_builder(sigma, P, Z3)
+    assert len(calls) == 1
+    # the same map as composing the chart's matrix maps around the map at [1:0:0]
+    T = move_point_first(P)
+    J_std = jonquieres_builder(sigma, ProjPoint.from_ints(Z3, (1, 0, 0)), Z3)
+    back = PlaneRationalMap.from_matrix(Z3, mat_inv(T, Z3))
+    assert J.components == PlaneRationalMap.from_matrix(Z3, T).compose(J_std).compose(back).components
+
+
+def test_deck_group_projects_once(monkeypatch):
+    # the candidates and every closure product are checked against one
+    # projected pair
+    scenario = load_scenario("quintic-zeta5")
+    calls = []
+
+    def counting_project(phi, P):
+        calls.append(1)
+        return project_param(phi, P)
+
+    monkeypatch.setattr(galois, "project_param", counting_project)
+    cert = deck_group_from_candidates(scenario.curve.param, scenario.point, scenario.generators)
+    assert cert.verdict == "galois" and len(cert.group) == 5
+    assert len(calls) == 1
+
+
 def test_linear_extension_solver_examples(Q, Z5):
     deg7, P = _quintic_scenario(Z5)
     z = Z5.generator()
@@ -584,8 +625,9 @@ def test_deck_verify_conjugation_stable(Z8):
             continue
         moved = linear_pushforward(quartic, M)
         P_moved = ProjPoint(Z8, mat_vec(M, list(P.coords)))
-        assert deck_verify(moved.param, P_moved, g) == deck_verify(quartic.param, P, g)
-        assert deck_verify(moved.param, P_moved, bad) == deck_verify(quartic.param, P, bad)
+        projected, base = project_param(moved.param, P_moved), project_param(quartic.param, P)
+        assert deck_verify(projected, g) == deck_verify(base, g)
+        assert deck_verify(projected, bad) == deck_verify(base, bad)
 
 
 @pytest.mark.parametrize("name, witness_of, checked_as", [("quartic-i", 2, 1), ("cubic-omega", 1, 2)])

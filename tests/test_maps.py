@@ -8,14 +8,16 @@ from planegalois.curves import (
     PARAM_VARS,
     ProjPoint,
     curve_from_implicit,
+    move_point_first,
     multiplicity_implicit,
 )
 from planegalois.fields import FieldDescriptor, make_field
-from planegalois.linalg import mat_det, mat_inv
+from planegalois.linalg import mat_det, mat_inv, mat_vec
 from planegalois.maps import (
     LineMobius,
     MobiusOverBase,
     PlaneRationalMap,
+    conjugate_by,
     jonquieres_decompose,
     linear_pushforward,
     proportional_eq,
@@ -238,11 +240,9 @@ def test_jonquieres_witness_base_action_identity(Q):
     tau = PlaneRationalMap.standard_quadratic(Q)
     P = ProjPoint.from_ints(Q, (1, 0, 0))
     w = jonquieres_decompose(tau, P)
-    from planegalois.curves import projection_forms
-
-    L1, L2 = projection_forms(P)
-    sub = {v: c for v, c in zip(CURVE_VARS, tau.components)}
-    pi_after = (L1.substitute(sub), L2.substitute(sub))
+    pencil = mat_inv(move_point_first(P), Q)[1:]  # the lines through P, read off the chart
+    L1, L2 = mat_vec(pencil, [MultiPoly.variable(Q, CURVE_VARS, v) for v in CURVE_VARS])
+    pi_after = mat_vec(pencil, tau.components)
     (a, b), (c, d) = w.base_action.matrix
     alpha_pi = (L1.scale(a) + L2.scale(b), L1.scale(c) + L2.scale(d))
     assert proportional_eq(pi_after, alpha_pi)
@@ -272,6 +272,38 @@ def test_compose_associativity(Q):
     for m in maps:
         assert m.compose(ident) == m
         assert ident.compose(m) == m
+
+
+def _rand_form(field, rng, degree):
+    """A nonzero form of the given degree with coefficients in [-2, 2]."""
+    monomials = [(a, b, degree - a - b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    while True:
+        form = MultiPoly(field, CURVE_VARS, {m: field.from_int(rng.randint(-2, 2)) for m in monomials})
+        if not form.is_zero():
+            return form
+
+
+@pytest.mark.parametrize("name", ["Q", "Z5", "F7"])
+def test_conjugate_by_matches_composing_matrix_maps(name, request):
+    """A o f o A^-1 from the forms of f, in one construction, has the
+    components of from_matrix(A) o f o from_matrix(A^-1).  In every other
+    draw the forms share a linear factor, which the constructor divides out
+    of the conjugated forms (its gcd branch)."""
+    field = request.getfixturevalue(name)
+    rng = random.Random(f"conjugate/{name}")
+    for trial in range(8):
+        A = _rand_matrix(field, rng, span=2)
+        forms = [_rand_form(field, rng, 2) for _ in range(3)]
+        if trial % 2:
+            factor = _rand_form(field, rng, 1)
+            forms = [f * factor for f in forms]
+        f = PlaneRationalMap(forms)
+        back = PlaneRationalMap.from_matrix(field, mat_inv(A, field))
+        want = PlaneRationalMap.from_matrix(field, A).compose(f).compose(back)
+        got = conjugate_by(A, forms)
+        assert got.components == want.components
+        if trial % 2:
+            assert got.degree < 3
 
 
 def test_line_mobius_basics(Q):

@@ -15,6 +15,7 @@ from planegalois.galois import (
     default_degree_bound,
     mobius_solver,
     parameter_data,
+    project_param,
     projection_model,
 )
 from planegalois.linalg import mat_det, nullspace
@@ -107,7 +108,7 @@ def test_kernel_line_of_a_two_to_one_cover(Q):
     phi = Parametrization([parse_poly(f, Q, PARAM_VARS) for f in ("u^4", "v^4", "u^2*v^2")])
     P = ProjPoint.from_ints(Q, (1, 1, 0))
     g = LineMobius.diagonal(Q, -Q.one(), Q.one())
-    assert deck_verify(phi, P, g)
+    assert deck_verify(project_param(phi, P), g)
     x_t, sx_t, psi_t = parameter_data(phi, P, g)
     assert psi_t.degree_as_map() == 4
     assert _kernel_line(_solver_matrix(x_t, sx_t, psi_t, Q)[2]) is None
